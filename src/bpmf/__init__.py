@@ -10,13 +10,12 @@ a MovieLens-format data pipeline, and an evaluation harness.
 from .baseline import MfConfig, mf_epoch, mf_loss, mf_train
 from .data import (
     IdMaps,
-    RawRating,
     SplitDataset,
     build_dataset,
     load_ratings,
     split_dataset,
 )
-from .errors import BpmfError, DataFormatError, DivergenceError
+from .errors import BpmfError, DataFormatError, DivergenceError, UsageError
 from .evaluate import (
     ExperimentConfig,
     ExperimentReport,

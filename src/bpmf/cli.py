@@ -11,9 +11,10 @@ import json
 import sys
 
 from .baseline import MfConfig
-from .errors import BpmfError
+from .errors import BpmfError, DataFormatError, UsageError
 from .evaluate import ExperimentConfig, ExperimentReport, compare, run_experiment
 from .mcmc import desk_scale_config
+from .model import ModelHyperparams
 from .vi import ViConfig
 
 
@@ -76,11 +77,12 @@ def _engine_config(args):
 
 
 def _cmd_run(args) -> int:
+    # every flag is checked before the data file is read
     try:
         engine_cfg = _engine_config(args)
+        ModelHyperparams(k=args.k, sigma2=args.sigma2)
     except ValueError as exc:
-        print(f"bpmf: invalid configuration: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError(f"invalid configuration: {exc}") from None
     cfg = ExperimentConfig(
         engine=args.engine,
         data_path=args.data,
@@ -105,7 +107,11 @@ def _cmd_compare(args) -> int:
     reports = []
     for path in args.reports:
         with open(path) as fh:
-            reports.append(ExperimentReport.from_dict(json.load(fh)))
+            try:
+                reports.append(ExperimentReport.from_dict(json.load(fh)))
+            except (ValueError, DataFormatError) as exc:
+                # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+                raise UsageError(f"{path}: not a bpmf report: {exc}") from None
     text, csv_text = compare(reports)
     print(text)
     if args.csv:
@@ -120,11 +126,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)
+    except UsageError as exc:
+        print(f"bpmf: {exc}", file=sys.stderr)
+        return 1
     except BpmfError as exc:
-        # usage-level errors: bad inputs the user can fix without a traceback
-        if args.command == "compare" and "at least 2" in str(exc):
-            print(f"bpmf: {exc}", file=sys.stderr)
-            return 1
         print(f"bpmf: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

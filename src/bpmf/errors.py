@@ -15,6 +15,10 @@ class DataFormatError(BpmfError):
         self.line = line
 
 
+class UsageError(BpmfError):
+    """Bad command-line input: flags, or the reports handed to compare."""
+
+
 class DivergenceError(BpmfError):
     """Training produced non-finite values; carries the offending epoch."""
 

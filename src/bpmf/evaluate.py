@@ -18,7 +18,7 @@ import numpy as np
 
 from .baseline import MfConfig, mf_train
 from .data import build_dataset, load_ratings, split_dataset
-from .errors import BpmfError
+from .errors import BpmfError, DataFormatError, UsageError
 from .mcmc import ChainTrace, desk_scale_config, mcmc_predict_batch, run_chain
 from .model import LatentState, ModelHyperparams, RatingDataset, denormalize_rating
 from .vi import VariationalParams, ViConfig, vi_predict_batch, vi_train
@@ -71,7 +71,29 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentReport":
+        """Rebuild a report from ``to_dict`` output; DataFormatError if malformed."""
+        if not isinstance(payload, dict):
+            raise DataFormatError(f"expected a JSON object, got {type(payload).__name__}")
+        names = [f.name for f in dataclasses.fields(cls)]
+        missing = [name for name in names if name not in payload]
+        unknown = sorted(set(payload) - set(names))
+        if missing or unknown:
+            raise DataFormatError(f"missing fields {missing}, unknown fields {unknown}")
+        for name in names:
+            value = payload[name]
+            if name == "config":
+                ok = isinstance(value, dict)
+            elif name == "loss_trace":
+                ok = isinstance(value, list) and all(_is_number(x) for x in value)
+            else:
+                ok = _is_number(value)
+            if not ok:
+                raise DataFormatError(f"field {name!r} has the wrong type")
         return cls(**payload)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def rmse(predictions, truths) -> float:
@@ -211,7 +233,7 @@ def compare(reports) -> tuple[str, str]:
     """Side-by-side engine comparison; returns (text table, CSV text)."""
     reports = list(reports)
     if len(reports) < 2:
-        raise BpmfError("compare needs at least 2 reports")
+        raise UsageError("compare needs at least 2 reports")
 
     rows = []
     for rep in reports:

@@ -65,8 +65,9 @@ class RatingDataset:
                 raise ValueError("item index out of range")
             if self.rating.min() < 0.0 or self.rating.max() > 1.0:
                 raise ValueError("normalized ratings must lie in [0, 1]")
-            keys = self.user_idx * self.n_items + self.item_idx
-            if np.unique(keys).size != keys.size:
+            # np.sort, not np.unique: on numpy 2.4 np.unique is ~80x slower
+            keys = np.sort(self.user_idx * self.n_items + self.item_idx)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate (user, item) pair in dataset")
 
     @classmethod

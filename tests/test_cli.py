@@ -100,6 +100,18 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--k", "0"), ("--sigma2", "nan"),
+                                            ("--sigma2", "-1")])
+    def test_bad_model_flag_is_usage_error_before_loading(self, flag, value, tmp_path, capsys):
+        # the data file does not exist: a load before the check would exit 2
+        code = run_cli(
+            "run", "--engine", "vi", "--data", str(tmp_path / "nope.csv"),
+            "--out", str(tmp_path / "out"), flag, value,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bpmf: invalid configuration") and err.count("\n") == 1
+
     def test_divergent_training_is_runtime_error(self, small_csv, tmp_path):
         code = run_cli(
             "run", "--engine", "mf", "--data", str(small_csv),
@@ -142,6 +154,19 @@ class TestCompare:
         code = run_cli("compare", str(tmp_path / "missing1.json"),
                        str(tmp_path / "missing2.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("make_bad", [
+        lambda good: "{not json",
+        lambda good: "[1, 2]",
+        lambda good: json.dumps({k: v for k, v in good.items() if k != "rmse_test"}),
+        lambda good: json.dumps({**good, "rmse_test": "low"}),
+    ], ids=["malformed-json", "not-an-object", "missing-field", "wrong-type"])
+    def test_malformed_report_is_usage_error(self, make_bad, two_reports, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(make_bad(json.loads(two_reports[0].read_text())))
+        assert run_cli("compare", str(two_reports[0]), str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bpmf: {bad}") and err.count("\n") == 1
 
     def test_no_arguments_is_usage_error(self):
         assert run_cli("compare") == 1

@@ -1,17 +1,18 @@
 """Tests for CSV ingestion, ID remapping, normalization, and splitting."""
 
+import codecs
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from bpmf.data import (
-    RawRating,
-    build_dataset,
-    load_ratings,
-    load_ratings_text,
-    split_dataset,
-)
+from bpmf import data as data_module
+from bpmf.data import build_dataset, load_ratings, split_dataset
 from bpmf.errors import BpmfError, DataFormatError
 from bpmf.model import RatingScale, denormalize_rating
+from bpmf.synthetic import synthesize_ratings
 
 from conftest import make_dataset
 
@@ -26,63 +27,255 @@ SAMPLE_ROWS = (
 )
 
 
+def load_text(text):
+    return load_ratings(io.StringIO(text))
+
+
+def columns(*rows):
+    """(user_ids, movie_ids, ratings) arrays from (user, movie, rating) rows."""
+    users, movies, ratings = zip(*rows)
+    return np.array(users), np.array(movies), np.array(ratings, dtype=float)
+
+
 class TestLoadRatings:
     def test_sample_rows(self):
-        raw, scale = load_ratings_text(HEADER + SAMPLE_ROWS)
-        assert len(raw) == 5
-        assert raw[0] == RawRating(1, 1, 4.0)
-        assert raw[3] == RawRating(1, 47, 5.0)
+        (users, movies, ratings), scale = load_text(HEADER + SAMPLE_ROWS)
+        assert ratings.size == 5
+        assert (users[0], movies[0], ratings[0]) == (1, 1, 4.0)
+        assert (users[3], movies[3], ratings[3]) == (1, 47, 5.0)
+        assert (users.dtype, movies.dtype, ratings.dtype) == (np.int64, np.int64, np.float64)
         assert scale == RatingScale(5, r_min=1.0)
 
     def test_header_only(self):
-        raw, _ = load_ratings_text(HEADER)
-        assert raw == []
+        (users, movies, ratings), _ = load_text(HEADER)
+        assert users.size == movies.size == ratings.size == 0
 
     def test_missing_header(self):
         with pytest.raises(DataFormatError):
-            load_ratings_text("a,b,c,d\n1,1,4,0\n")
+            load_text("a,b,c,d\n1,1,4,0\n")
 
     def test_empty_file(self):
         with pytest.raises(DataFormatError):
-            load_ratings_text("")
+            load_text("")
 
     def test_malformed_field_names_line(self):
         text = HEADER + "1,1,4,964982703\n1,3,abc,964981247\n"
         with pytest.raises(DataFormatError) as err:
-            load_ratings_text(text)
+            load_text(text)
         assert err.value.line == 3
         assert "3" in str(err.value)
 
     def test_rating_out_of_range(self):
         with pytest.raises(DataFormatError) as err:
-            load_ratings_text(HEADER + "1,1,11,0\n")
+            load_text(HEADER + "1,1,11,0\n")
         assert err.value.line == 2
         with pytest.raises(DataFormatError):
-            load_ratings_text(HEADER + "1,1,0,0\n")
+            load_text(HEADER + "1,1,0,0\n")
 
     def test_duplicate_pair(self):
         text = HEADER + "1,1,4,0\n1,1,3,1\n"
         with pytest.raises(DataFormatError) as err:
-            load_ratings_text(text)
+            load_text(text)
         assert err.value.line == 3
 
     def test_half_star_scale_detection(self):
-        raw, scale = load_ratings_text(HEADER + "1,1,3.5,0\n1,2,5,0\n")
+        (_, _, ratings), scale = load_text(HEADER + "1,1,3.5,0\n1,2,5,0\n")
         assert scale == RatingScale(5, r_min=0.5)
-        assert raw[0].rating == 3.5
+        assert ratings[0] == 3.5
 
     def test_integer_scale_minimum_two(self):
-        _, scale = load_ratings_text(HEADER + "1,1,1,0\n")
+        _, scale = load_text(HEADER + "1,1,1,0\n")
         assert scale.r_max == 2
 
     def test_crlf_line_endings(self):
-        raw, _ = load_ratings_text(HEADER.strip() + "\r\n1,1,4,0\r\n1,2,5,0\r\n")
-        assert len(raw) == 2
+        (_, _, ratings), _ = load_text(HEADER.strip() + "\r\n1,1,4,0\r\n1,2,5,0\r\n")
+        assert ratings.size == 2
 
     def test_full_size_file(self, ratings_csv_path):
-        raw, scale = load_ratings(ratings_csv_path)
-        assert len(raw) == 100_836
+        (_, _, ratings), scale = load_ratings(ratings_csv_path)
+        assert ratings.size == 100_836
         assert scale.r_max == 5
+
+    def test_rating_off_the_half_star_grid(self):
+        # 0.3 in an integer-star file used to fail later, inside RatingDataset
+        with pytest.raises(DataFormatError) as err:
+            load_text(HEADER + "1,1,4,0\n1,2,0.3,0\n")
+        assert err.value.line == 3
+        with pytest.raises(DataFormatError) as err:
+            load_text(HEADER + "1,1,3.5,0\n1,2,4,0\n2,1,3.25,0\n")
+        assert err.value.line == 4
+        assert "0.5" in str(err.value)
+
+    def test_id_outside_int64(self):
+        with pytest.raises(DataFormatError) as err:
+            load_text(HEADER + "1,1,4,0\n9223372036854775808,2,4,0\n")
+        assert err.value.line == 3
+        (users, _, _), _ = load_text(HEADER + "9223372036854775807,1,4,0\n")
+        assert users[0] == 2**63 - 1
+
+    def test_csv_error_names_line(self):
+        with pytest.raises(DataFormatError) as err:
+            load_text(HEADER + "1,1,4,0\n1,2,4," + "9" * 200_000 + "\n")
+        assert err.value.line == 3
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(HEADER.encode() + b"1,1,4,0\n1,2,4,\xff\n")
+        with pytest.raises(DataFormatError) as err:
+            load_ratings(path)
+        assert err.value.line == 3
+
+    def test_byte_order_mark_in_file(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(codecs.BOM_UTF8 + (HEADER + SAMPLE_ROWS).encode())
+        (users, _, _), _ = load_ratings(path)
+        assert users.tolist() == [1] * 5
+
+
+def reference_load(text):
+    """The row loop alone: (columns, scale) or DataFormatError."""
+    columns = data_module._parse_rows(text)
+    return columns, data_module._detect_scale(columns[2])
+
+
+def reference_build(columns, scale):
+    """The dict-loop remap and per-rating normalization ingest used to run."""
+    user_map, item_map = {}, {}
+    ii = [user_map.setdefault(u, len(user_map)) for u in columns[0].tolist()]
+    jj = [item_map.setdefault(m, len(item_map)) for m in columns[1].tolist()]
+    rr = [(r - scale.r_min) / scale.span for r in columns[2].tolist()]
+    return ii, jj, rr, user_map, item_map
+
+
+def assert_same_columns(got, expected):
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def assert_same_dataset(columns, scale):
+    """build_dataset output equals the reference remap bit for bit."""
+    data, maps = build_dataset(columns, scale)
+    ii, jj, rr, user_map, item_map = reference_build(columns, scale)
+    assert data.user_idx.tolist() == ii
+    assert data.item_idx.tolist() == jj
+    assert data.rating.tobytes() == np.array(rr).tobytes()
+    assert list(maps.user_to_index.items()) == list(user_map.items())
+    assert list(maps.item_to_index.items()) == list(item_map.items())
+    assert maps.index_to_user == list(user_map)
+    assert maps.index_to_item == list(item_map)
+
+
+@pytest.fixture(scope="module")
+def whole_star_csv(tmp_path_factory):
+    users, movies, ratings = synthesize_ratings(300, 800, 30_000, seed=3)
+    stars = np.clip(np.round(ratings), 1, 5).astype(np.int64)
+    path = tmp_path_factory.mktemp("stars") / "ratings.csv"
+    with open(path, "w") as fh:
+        fh.write(HEADER)
+        fh.writelines(f"{u},{m},{r},0\n" for u, m, r in zip(users, movies, stars))
+    return path
+
+
+class TestColumnarIngest:
+    @pytest.mark.parametrize("which", ["surrogate", "whole_star"])
+    def test_matches_row_loop_reference(self, which, ratings_csv_path, whole_star_csv):
+        path = ratings_csv_path if which == "surrogate" else whole_star_csv
+        columns, scale = load_ratings(path)
+        expected_columns, expected_scale = reference_load(path.read_text(encoding="utf-8-sig"))
+        assert_same_columns(columns, expected_columns)
+        assert scale == expected_scale
+        assert scale.r_min == (0.5 if which == "surrogate" else 1.0)
+        assert_same_dataset(columns, scale)
+
+    def test_surrogate_skips_row_loop(self, ratings_csv_path, monkeypatch):
+        def row_loop(text):
+            raise AssertionError("the columnar parser fell back to the row loop")
+
+        monkeypatch.setattr(data_module, "_parse_rows", row_loop)
+        (_, _, ratings), _ = load_ratings(ratings_csv_path)
+        assert ratings.size == 100_836
+
+
+def _number(value):
+    return st.sampled_from([str(value), f"{value:03d}", f"{value}.0", f"+{value}",
+                            f" {value}", f"{value}_0", f'"{value}"'])
+
+
+_ID = st.integers(1, 20)
+_VALID_RATING = st.sampled_from(["4", "3.5", "0.5", "5.0", ".5", "5.", "004.50", "10"])
+_ODD_RATING = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "0", "-1", "11",
+                               "3.25", "0.3", "4e0", '"4"', " 4", "4_0", ""])
+_VALID_ROW = st.builds(lambda u, m, r: f"{u},{m},{r},964982703", _ID, _ID, _VALID_RATING)
+_ODD_LINE = st.one_of(
+    st.sampled_from(["", " ", "\t", "\ufeff1,2,4,0"]),
+    st.sampled_from(["1", "1,2", "1,2,", ",,,", "1,2,4", "1,2,4,0,extra,more"]),
+    st.sampled_from(['"1",2,4,0', '1,2,4,"a,b"', '1,2,4,"x\ny"', '1,2,4,"x\n3,4,5,"']),
+    st.sampled_from(["1.0,2,4,0", "-1,2,4,0", "99999999999999999999,1,4,0"]),
+    st.builds(lambda u, m, r: f"{u},{m},{r},0", _number(1), _number(2), _VALID_RATING),
+    st.builds(lambda u, m, r: f"{u},{m},{r}", _ID, _ID, _ODD_RATING),
+)
+
+
+def _join(lines, ending, trailing):
+    text = "".join(line + ending for line in lines)
+    return text if trailing else text.rstrip("\r\n")
+
+
+def _insert(lines, odd):
+    lines = list(lines)
+    for line, ending, position in odd:
+        lines.insert(position, line + ending)
+    return lines
+
+
+# clean bodies: valid rows and blank lines under one line ending, the
+# shape of real files; mixed bodies insert one or two odd lines, each
+# with its own ending (a lone CR among them)
+_CLEAN_LINES = st.lists(st.one_of(_VALID_ROW, _VALID_ROW, _VALID_ROW, st.just("")), max_size=10)
+_CLEAN_BODY = st.builds(_join, _CLEAN_LINES, st.sampled_from(["\n", "\r\n"]), st.booleans())
+_MIXED_BODY = st.builds(
+    lambda lines, odd, ending, trailing: _join(_insert(lines, odd), ending, trailing),
+    _CLEAN_LINES,
+    st.lists(st.tuples(_ODD_LINE, st.sampled_from(["", "\r"]), st.integers(0, 10)),
+             min_size=1, max_size=2),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "ratings.csv"
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.one_of(_CLEAN_BODY, _MIXED_BODY), bom=st.booleans(), crlf_header=st.booleans())
+def test_columnar_parse_matches_row_loop(scratch_csv, body, bom, crlf_header):
+    text = HEADER.replace("\n", "\r\n" if crlf_header else "\n") + body
+    scratch_csv.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode())
+    try:
+        expected = reference_load(text)
+    except DataFormatError as exc:
+        event("rejected")
+        # whatever the row loop rejects, the columnar parser rejects too
+        assert data_module._parse_columns(text.encode()) is None
+        for source in (scratch_csv, io.StringIO(text)):
+            with pytest.raises(DataFormatError) as err:
+                load_ratings(source)
+            assert err.value.line == exc.line
+        return
+    fast = data_module._parse_columns(text.encode())
+    event("accepted by the row loop only" if fast is None else "accepted by both parsers")
+    if fast is not None:
+        assert_same_columns(fast, expected[0])
+    for source in (scratch_csv, io.StringIO(text)):
+        columns, scale = load_ratings(source)
+        assert_same_columns(columns, expected[0])
+        assert scale == expected[1]
+    if expected[0][2].size:
+        assert_same_dataset(*expected)
 
 
 class TestBuildDataset:
@@ -95,21 +288,20 @@ class TestBuildDataset:
         assert len(maps.item_to_index) == 9_724
 
     def test_single_rating(self):
-        data, maps = build_dataset([RawRating(7, 42, 5.0)], RatingScale(5))
+        data, maps = build_dataset(columns((7, 42, 5.0)), RatingScale(5))
         assert (data.n_users, data.n_items) == (1, 1)
         assert data.triples() == [(0, 0, 1.0)]
         assert maps.user_to_index == {7: 0}
         assert maps.item_to_index == {42: 0}
 
     def test_two_users_share_one_movie(self):
-        raw = [RawRating(5, 9, 3.0), RawRating(2, 9, 4.0)]
-        data, maps = build_dataset(raw, RatingScale(5))
+        data, maps = build_dataset(columns((5, 9, 3.0), (2, 9, 4.0)), RatingScale(5))
         assert data.n_items == 1
         assert sorted(data.user_idx.tolist()) == [0, 1]
         assert maps.user_to_index == {5: 0, 2: 1}
 
     def test_first_appearance_order(self):
-        raw = [RawRating(30, 7, 1.0), RawRating(10, 5, 2.0), RawRating(30, 5, 3.0)]
+        raw = columns((30, 7, 1.0), (10, 5, 2.0), (30, 5, 3.0))
         _, maps = build_dataset(raw, RatingScale(5))
         assert maps.user_to_index == {30: 0, 10: 1}
         assert maps.item_to_index == {7: 0, 5: 1}
@@ -118,7 +310,7 @@ class TestBuildDataset:
 
     def test_empty_input_errors(self):
         with pytest.raises(BpmfError):
-            build_dataset([])
+            build_dataset(([], [], []), RatingScale(5))
 
     @pytest.mark.parametrize(
         "rows,scale",
@@ -128,11 +320,11 @@ class TestBuildDataset:
         ],
     )
     def test_round_trip_exact(self, rows, scale):
-        raw, detected = load_ratings_text(rows)
+        raw, detected = load_text(rows)
         assert detected == scale
         data, _ = build_dataset(raw, detected)
         recovered = denormalize_rating(data.rating, detected)
-        np.testing.assert_allclose(recovered, [r.rating for r in raw], atol=1e-12)
+        np.testing.assert_allclose(recovered, raw[2], atol=1e-12)
 
     def test_id_maps_are_bijections(self, full_dataset):
         _, maps, _ = full_dataset
