@@ -43,7 +43,7 @@ def main():
     )
 
     runs = {
-        "vi": ViConfig(k=8, epochs=400),
+        "vi": ViConfig(epochs=400),
         "mcmc": McmcConfig(n_steps=8000, burn_in=4800, thin=32, proposal_std=0.008),
     }
     for engine, engine_cfg in runs.items():

@@ -87,7 +87,7 @@ def main():
           f"(acceptance rate {chain.acceptance_rate:.2f})")
 
     params, _ = vi_train(
-        data, hp, ViConfig(k=1, learning_rate=0.05, epochs=1500, mc_samples=16, seed=0)
+        data, hp, ViConfig(learning_rate=0.05, epochs=1500, mc_samples=16, seed=0)
     )
     vi_rating = vi_predict(params, 0, 0, scale, mc_samples=10_000,
                            rng=np.random.default_rng(0))

@@ -30,9 +30,9 @@ def main():
     print(f"wrote {data_path}")
 
     engine_configs = {
-        "mf": MfConfig(k=8, alpha=0.002, epochs=200),
+        "mf": MfConfig(alpha=0.002, epochs=200),
         "mcmc": McmcConfig(n_steps=4000, burn_in=2400, thin=16, proposal_std=0.01),
-        "vi": ViConfig(k=8, epochs=200),
+        "vi": ViConfig(epochs=200),
     }
 
     reports = []

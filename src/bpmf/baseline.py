@@ -11,15 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DivergenceError
-from .model import LatentState, RatingDataset
+from .model import LatentState, ModelHyperparams, RatingDataset, dot_buffers, incidence, row_dots
 
 
 @dataclass(frozen=True)
 class MfConfig:
-    k: int = 10
     alpha: float = 0.002
     epochs: int = 200
     init_scale: float = 0.1
@@ -34,13 +32,11 @@ class MfConfig:
             raise ValueError("init_scale must be >= 0")
 
 
-def mf_loss(state: LatentState, data: RatingDataset) -> float:
+def mf_loss(state: LatentState, data: RatingDataset, _buffers=None) -> float:
     """Sum of squared residuals over observed (normalized) ratings."""
     _check_shapes(state, data)
-    if data.n_ratings == 0:
-        return 0.0
     with np.errstate(over="ignore"):
-        dots = np.einsum("ij,ij->i", state.u[data.user_idx], state.v[data.item_idx])
+        dots = row_dots(state.u, state.v, data.user_idx, data.item_idx, _buffers)
         return float(np.sum((data.rating - dots) ** 2))
 
 
@@ -52,55 +48,50 @@ def _check_shapes(state: LatentState, data: RatingDataset):
         )
 
 
-def _incidence(data: RatingDataset):
-    """CSR scatter matrices: rows accumulate per-rating terms by user / item."""
-    ones = np.ones(data.n_ratings)
-    arange = np.arange(data.n_ratings)
-    by_user = sparse.csr_matrix(
-        (ones, (data.user_idx, arange)), shape=(data.n_users, data.n_ratings)
-    )
-    by_item = sparse.csr_matrix(
-        (ones, (data.item_idx, arange)), shape=(data.n_items, data.n_ratings)
-    )
-    return by_user, by_item
-
-
 def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig,
-             _scatter=None, _epoch=0) -> LatentState:
+             _scatter=None, _buffers=None, _epoch=0) -> LatentState:
     """One full-batch update: the U block first, then V against the new U."""
     _check_shapes(state, data)
     if data.n_ratings == 0:
         return state.copy()
-    by_user, by_item = _scatter if _scatter is not None else _incidence(data)
+    by_user, by_item = _scatter if _scatter is not None else incidence(data)
+    buffers = _buffers if _buffers is not None else dot_buffers(data.n_ratings, state.k)
+    u_rows, v_rows, _ = buffers
     ii, jj, rr = data.user_idx, data.item_idx, data.rating
 
-    # overflow here is reported as a divergence error, not a warning
+    # overflow here is reported as a divergence error, not a warning;
+    # each update reuses the rows its residuals gathered
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = rr - np.einsum("ij,ij->i", state.u[ii], state.v[jj])
-        u_new = state.u + cfg.alpha * (by_user @ (resid[:, None] * state.v[jj]))
+        resid = rr - row_dots(state.u, state.v, ii, jj, buffers)
+        u_new = state.u + cfg.alpha * (by_user @ np.multiply(resid[:, None], v_rows, out=v_rows))
 
-        resid = rr - np.einsum("ij,ij->i", u_new[ii], state.v[jj])
-        v_new = state.v + cfg.alpha * (by_item @ (resid[:, None] * u_new[ii]))
+        resid = rr - row_dots(u_new, state.v, ii, jj, buffers)
+        v_new = state.v + cfg.alpha * (by_item @ np.multiply(resid[:, None], u_rows, out=u_rows))
 
     if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
         raise DivergenceError("matrix factorization diverged (reduce alpha)", _epoch)
     return LatentState(u_new, v_new)
 
 
-def init_state(n_users: int, n_items: int, cfg: MfConfig) -> LatentState:
+def init_state(n_users: int, n_items: int, k: int, cfg: MfConfig) -> LatentState:
     rng = np.random.default_rng(cfg.seed)
     return LatentState(
-        rng.normal(0.0, cfg.init_scale, size=(n_users, cfg.k)),
-        rng.normal(0.0, cfg.init_scale, size=(n_items, cfg.k)),
+        rng.normal(0.0, cfg.init_scale, size=(n_users, k)),
+        rng.normal(0.0, cfg.init_scale, size=(n_items, k)),
     )
 
 
-def mf_train(data: RatingDataset, cfg: MfConfig):
-    """Train from a seeded random init; returns (state, per-epoch loss trace)."""
-    state = init_state(data.n_users, data.n_items, cfg)
-    scatter = _incidence(data) if data.n_ratings else None
+def mf_train(data: RatingDataset, hp: ModelHyperparams, cfg: MfConfig):
+    """Train from a seeded random init; returns (state, per-epoch loss trace).
+
+    Takes the factor width from ``hp.k``; the model noise ``hp.sigma2``
+    plays no part in a prior-free squared loss.
+    """
+    state = init_state(data.n_users, data.n_items, hp.k, cfg)
+    scatter = incidence(data) if data.n_ratings else None
+    buffers = dot_buffers(data.n_ratings, hp.k)
     trace = []
     for epoch in range(cfg.epochs):
-        state = mf_epoch(state, data, cfg, _scatter=scatter, _epoch=epoch)
-        trace.append(mf_loss(state, data))
+        state = mf_epoch(state, data, cfg, _scatter=scatter, _buffers=buffers, _epoch=epoch)
+        trace.append(mf_loss(state, data, _buffers=buffers))
     return state, trace

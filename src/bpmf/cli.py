@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime/divergence error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -53,35 +52,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(**values):
+    """The flags the user set; the config's own defaults fill in the rest."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _engine_config(args):
     if args.engine == "mf":
-        cfg = MfConfig(k=args.k, seed=args.seed)
-        if args.lr is not None:
-            cfg = dataclasses.replace(cfg, alpha=args.lr)
-        if args.epochs is not None:
-            cfg = dataclasses.replace(cfg, epochs=args.epochs)
-        return cfg
+        return MfConfig(seed=args.seed, **_given(alpha=args.lr, epochs=args.epochs))
     if args.engine == "mcmc":
         return desk_scale_config(
             n_steps=args.n_steps, burn_in=args.burn_in, thin=args.thin,
             proposal_std=args.proposal_std, seed=args.seed,
         )
-    cfg = ViConfig(k=args.k, seed=args.seed)
-    if args.lr is not None:
-        cfg = dataclasses.replace(cfg, learning_rate=args.lr)
-    if args.epochs is not None:
-        cfg = dataclasses.replace(cfg, epochs=args.epochs)
-    if args.mc_samples is not None:
-        cfg = dataclasses.replace(cfg, mc_samples=args.mc_samples)
-    return cfg
+    return ViConfig(seed=args.seed, **_given(learning_rate=args.lr, epochs=args.epochs,
+                                             mc_samples=args.mc_samples))
 
 
 def _cmd_run(args) -> int:
     # every flag is checked before the data file is read
     try:
+        if min(args.seed, args.split_seed) < 0:
+            raise ValueError("--seed and --split-seed must be >= 0")
         engine_cfg = _engine_config(args)
         ModelHyperparams(k=args.k, sigma2=args.sigma2)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
     cfg = ExperimentConfig(
         engine=args.engine,

@@ -20,10 +20,12 @@ from .baseline import MfConfig, mf_train
 from .data import build_dataset, load_ratings, split_dataset
 from .errors import BpmfError, DataFormatError, UsageError
 from .mcmc import ChainTrace, desk_scale_config, mcmc_predict_batch, run_chain
-from .model import LatentState, ModelHyperparams, RatingDataset, denormalize_rating
+from .model import LatentState, ModelHyperparams, RatingDataset, denormalize_rating, row_dots
 from .vi import VariationalParams, ViConfig, vi_predict_batch, vi_train
 
-ENGINES = ("mf", "mcmc", "vi")
+# the config each engine trains with when the experiment gives none
+DEFAULT_CONFIGS = {"mf": MfConfig, "mcmc": desk_scale_config, "vi": ViConfig}
+ENGINES = tuple(DEFAULT_CONFIGS)
 
 # MC sample count used when scoring a fitted variational posterior
 VI_PREDICT_SAMPLES = 32
@@ -47,11 +49,7 @@ class ExperimentConfig:
     def resolved_engine_config(self):
         if self.engine_config is not None:
             return self.engine_config
-        if self.engine == "mf":
-            return MfConfig(k=self.k)
-        if self.engine == "mcmc":
-            return desk_scale_config()
-        return ViConfig(k=self.k)
+        return DEFAULT_CONFIGS[self.engine]()
 
 
 @dataclass
@@ -125,7 +123,7 @@ def predict_all(engine_result, eval_data: RatingDataset, train_data: RatingDatas
     ii, jj = eval_data.user_idx, eval_data.item_idx
 
     if isinstance(engine_result, LatentState):
-        dots = np.einsum("ij,ij->i", engine_result.u[ii], engine_result.v[jj])
+        dots = row_dots(engine_result.u, engine_result.v, ii, jj)
         preds = denormalize_rating(np.clip(dots, 0.0, 1.0), eval_data.scale)
     elif isinstance(engine_result, ChainTrace):
         preds = mcmc_predict_batch(engine_result, ii, jj, eval_data.scale)
@@ -145,16 +143,6 @@ def predict_all(engine_result, eval_data: RatingDataset, train_data: RatingDatas
     return preds, int(np.sum(cold))
 
 
-def _train_engine(engine: str, train: RatingDataset, hp: ModelHyperparams, engine_cfg):
-    if engine == "mf":
-        return mf_train(train, engine_cfg)
-    if engine == "mcmc":
-        trace = run_chain(train, hp, engine_cfg)
-        return trace, trace.energies.tolist()
-    params, elbo_trace = vi_train(train, hp, engine_cfg)
-    return params, elbo_trace
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Load, split, train the selected engine, score, and write artifacts.
 
@@ -168,7 +156,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     hp = ModelHyperparams(k=cfg.k, sigma2=cfg.sigma2)
 
     start = time.perf_counter()
-    result, trace = _train_engine(cfg.engine, split.train, hp, engine_cfg)
+    if cfg.engine == "mcmc":
+        result = run_chain(split.train, hp, engine_cfg)
+        trace = result.energies.tolist()
+    else:
+        train = mf_train if cfg.engine == "mf" else vi_train
+        result, trace = train(split.train, hp, engine_cfg)
     wall_clock = time.perf_counter() - start
 
     fallback = global_mean_rating(split.train)

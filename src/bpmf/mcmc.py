@@ -34,8 +34,10 @@ from .model import (
     RatingDataset,
     RatingScale,
     denormalize_rating,
+    dot_buffers,
     log_joint,
     rating_residuals,
+    row_dots,
     sigmoid,
 )
 
@@ -159,8 +161,7 @@ class RowwiseCache:
 
     @classmethod
     def for_state(cls, state: LatentState, data: RatingDataset) -> "RowwiseCache":
-        n = data.n_ratings
-        buffers = (np.empty((n, state.k)), np.empty((n, state.k)), np.empty(n))
+        buffers = dot_buffers(data.n_ratings, state.k)
         resid = rating_residuals(state.u, state.v, data.user_idx, data.item_idx,
                                  data.rating, buffers)
         return cls(sq_resid=resid**2, buffers=buffers)
@@ -251,8 +252,9 @@ def mcmc_predict_batch(trace: ChainTrace, user_idx, item_idx, scale: RatingScale
     user_idx = np.asarray(user_idx)
     item_idx = np.asarray(item_idx)
     acc = np.zeros(user_idx.shape, dtype=np.float64)
+    buffers = dot_buffers(user_idx.size, trace.samples[0].k)
     for s in trace.samples:
-        acc += sigmoid(np.einsum("ij,ij->i", s.u[user_idx], s.v[item_idx]))
+        acc += sigmoid(row_dots(s.u, s.v, user_idx, item_idx, buffers))
     return denormalize_rating(acc / len(trace.samples), scale)
 
 

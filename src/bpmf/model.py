@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -157,38 +158,72 @@ def log_likelihood_entry(u_i, v_j, r, sigma2) -> float:
     return float(-0.5 * np.log(2.0 * np.pi * sigma2) - (r - mean) ** 2 / (2.0 * sigma2))
 
 
-def rating_residuals(a, b, a_idx, b_idx, rating, buffers=None):
-    """``rating - sigmoid(a[a_idx] . b[b_idx])``, one entry per rating.
+def dot_buffers(n: int, k: int):
+    """Scratch arrays for :func:`row_dots`: two n x k row gathers and n dots."""
+    return np.empty((n, k)), np.empty((n, k)), np.empty(n)
 
-    The row dot is symmetric, so the same call serves (U, V) and (V, U).
-    ``buffers``, if given, is (n x k, n x k, n) preallocated arrays that
-    receive the two row gathers and the result, so that a loop calling
-    this allocates nothing: at MovieLens-small size a fresh 5 MB gather
-    per call costs about as much in page faults as the arithmetic.
-    Indices must be in range (``RatingDataset`` checks them):
+
+def row_dots(a, b, a_idx, b_idx, buffers=None):
+    """``a[a_idx] . b[b_idx]``, one row dot per index pair.
+
+    ``buffers`` (from :func:`dot_buffers`), if given, receive the two
+    row gathers and the dots, so that a loop calling this allocates
+    nothing: at MovieLens-small size a fresh 5 MB gather per call costs
+    about as much in page faults as the arithmetic. After the call the
+    buffers still hold the gathered rows, for callers that reuse them.
     ``mode="clip"`` keeps ``np.take`` with ``out`` on its unbuffered
-    path, about three times faster than fancy indexing.
+    path, about three times faster than fancy indexing; since it would
+    clamp a bad index silently, indices are range-checked first.
     """
+    if len(a_idx) and (min(a_idx.min(), b_idx.min()) < 0
+                       or a_idx.max() >= len(a) or b_idx.max() >= len(b)):
+        raise IndexError("row index out of range")
     if buffers is None:
-        n, k = len(a_idx), a.shape[1]
-        buffers = (np.empty((n, k)), np.empty((n, k)), np.empty(n))
+        buffers = dot_buffers(len(a_idx), a.shape[1])
     rows_a, rows_b, out = buffers
     np.take(a, a_idx, axis=0, out=rows_a, mode="clip")
     np.take(b, b_idx, axis=0, out=rows_b, mode="clip")
-    np.einsum("ij,ij->i", rows_a, rows_b, out=out)
+    return np.einsum("ij,ij->i", rows_a, rows_b, out=out)
+
+
+def rating_residuals(a, b, a_idx, b_idx, rating, buffers=None):
+    """``rating - sigmoid(a[a_idx] . b[b_idx])``, written into the dots buffer.
+
+    The row dot is symmetric, so the same call serves (U, V) and (V, U).
+    """
+    out = row_dots(a, b, a_idx, b_idx, buffers)
     expit(out, out=out)
     return np.subtract(rating, out, out=out)
 
 
-def _log_likelihood_sum(u, v, data: RatingDataset, sigma2: float) -> float:
-    """Vectorized sum of per-entry log likelihoods over observed ratings."""
-    if data.n_ratings == 0:
-        return 0.0
-    resid = rating_residuals(u, v, data.user_idx, data.item_idx, data.rating)
+def residual_log_likelihood(resid, sigma2: float) -> float:
+    """Gaussian log density of a vector of rating residuals, constants included."""
     return float(
-        -0.5 * data.n_ratings * np.log(2.0 * np.pi * sigma2)
+        -0.5 * resid.size * np.log(2.0 * np.pi * sigma2)
         - np.sum(resid**2) / (2.0 * sigma2)
     )
+
+
+def log_likelihood_sum(u, v, data: RatingDataset, sigma2: float, buffers=None) -> float:
+    """Sum of per-entry log likelihoods over the observed ratings."""
+    if data.n_ratings == 0:
+        return 0.0
+    resid = rating_residuals(u, v, data.user_idx, data.item_idx, data.rating, buffers)
+    return residual_log_likelihood(resid, sigma2)
+
+
+def incidence(data: RatingDataset):
+    """CSR scatter pair: ``by_user @ x`` sums per-rating rows of ``x`` by user,
+    ``by_item @ x`` by item."""
+    ones = np.ones(data.n_ratings)
+    arange = np.arange(data.n_ratings)
+    by_user = sparse.csr_matrix(
+        (ones, (data.user_idx, arange)), shape=(data.n_users, data.n_ratings)
+    )
+    by_item = sparse.csr_matrix(
+        (ones, (data.item_idx, arange)), shape=(data.n_items, data.n_ratings)
+    )
+    return by_user, by_item
 
 
 def log_joint(state: LatentState, data: RatingDataset, hp: ModelHyperparams) -> float:
@@ -202,7 +237,7 @@ def log_joint(state: LatentState, data: RatingDataset, hp: ModelHyperparams) -> 
         -0.5 * (np.sum(state.u**2) + np.sum(state.v**2))
         - (data.n_users + data.n_items) * (hp.k / 2.0) * LOG_2PI
     )
-    return float(log_prior + _log_likelihood_sum(state.u, state.v, data, hp.sigma2))
+    return float(log_prior + log_likelihood_sum(state.u, state.v, data, hp.sigma2))
 
 
 def predict_point(u_i, v_j, scale: RatingScale) -> float:

@@ -13,6 +13,8 @@ import csv
 
 import numpy as np
 
+from .model import row_dots
+
 ML_SMALL_USERS = 610
 ML_SMALL_MOVIES = 9_724
 ML_SMALL_RATINGS = 100_836
@@ -30,13 +32,16 @@ def _sample_pairs(rng, n_users, n_items, n_ratings):
     while keys.size < int(n_ratings * 1.03):
         uu = rng.choice(n_users, size=2 * n_ratings, p=user_w)
         mm = rng.choice(n_items, size=2 * n_ratings, p=item_w)
-        keys = np.unique(np.concatenate([keys, uu * n_items + mm]))
+        # sorted distinct keys by np.sort and a neighbour compare, not
+        # np.unique: on numpy 2.4 np.unique takes a far slower hash path
+        keys = np.sort(np.concatenate([keys, uu * n_items + mm]))
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     keys = keys[rng.permutation(keys.size)]
 
     uu, mm = keys // n_items, keys % n_items
     present = set(keys.tolist())
     extra_u, extra_m = [], []
-    for user in np.setdiff1d(np.arange(n_users), np.unique(uu)):
+    for user in np.flatnonzero(np.bincount(uu, minlength=n_users) == 0):
         while True:
             movie = rng.choice(n_items, p=item_w)
             if user * n_items + movie not in present:
@@ -44,7 +49,7 @@ def _sample_pairs(rng, n_users, n_items, n_ratings):
                 extra_u.append(user)
                 extra_m.append(movie)
                 break
-    for movie in np.setdiff1d(np.arange(n_items), np.unique(mm)):
+    for movie in np.flatnonzero(np.bincount(mm, minlength=n_items) == 0):
         while True:
             user = rng.choice(n_users, p=user_w)
             if user * n_items + movie not in present:
@@ -93,7 +98,7 @@ def synthesize_ratings(n_users=ML_SMALL_USERS, n_items=ML_SMALL_MOVIES,
     logit = (
         user_bias[uu]
         + item_bias[mm]
-        + np.einsum("ij,ij->i", u[uu], v[mm]) / np.sqrt(latent_dim)
+        + row_dots(u, v, uu, mm) / np.sqrt(latent_dim)
     )
     value = 0.5 + 4.5 / (1.0 + np.exp(-logit)) + rng.normal(0.0, 0.35, uu.size)
     rating = np.clip(np.round(value * 2.0) / 2.0, 0.5, 5.0)

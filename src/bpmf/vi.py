@@ -9,11 +9,9 @@ the estimate and its pathwise gradient share the same base noise.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DivergenceError
 from .model import (
@@ -21,7 +19,11 @@ from .model import (
     RatingDataset,
     RatingScale,
     denormalize_rating,
-    rating_residuals,
+    dot_buffers,
+    incidence,
+    log_likelihood_sum,
+    residual_log_likelihood,
+    row_dots,
     sigmoid,
 )
 
@@ -55,7 +57,6 @@ class VariationalParams:
 
 @dataclass(frozen=True)
 class ViConfig:
-    k: int = 10
     learning_rate: float = 0.02
     epochs: int = 300
     mc_samples: int = 2
@@ -87,18 +88,6 @@ def _total_kl(params: VariationalParams) -> float:
     )
 
 
-def _scatter_matrices(data: RatingDataset):
-    ones = np.ones(data.n_ratings)
-    arange = np.arange(data.n_ratings)
-    by_user = sparse.csr_matrix(
-        (ones, (data.user_idx, arange)), shape=(data.n_users, data.n_ratings)
-    )
-    by_item = sparse.csr_matrix(
-        (ones, (data.item_idx, arange)), shape=(data.n_items, data.n_ratings)
-    )
-    return by_user, by_item
-
-
 def draw_noise(params: VariationalParams, mc_samples: int, rng):
     """Base noise for reparameterized samples; one (eps_u, eps_v) pair per draw."""
     return [
@@ -108,7 +97,7 @@ def draw_noise(params: VariationalParams, mc_samples: int, rng):
 
 
 def elbo_with_noise(params: VariationalParams, data: RatingDataset,
-                    hp: ModelHyperparams, noise, _scatter=None):
+                    hp: ModelHyperparams, noise, _scatter=None, _buffers=None):
     """ELBO estimate and its pathwise gradient for explicit base noise.
 
     The KL-to-prior part is analytic; only the likelihood expectation is
@@ -123,20 +112,17 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
     )
     loglik = 0.0
     if data.n_ratings:
-        by_user, by_item = _scatter if _scatter is not None else _scatter_matrices(data)
+        by_user, by_item = _scatter if _scatter is not None else incidence(data)
+        buffers = _buffers if _buffers is not None else dot_buffers(data.n_ratings, params.k)
+        u_rows, v_rows, _ = buffers
         ii, jj, rr = data.user_idx, data.item_idx, data.rating
-        const = -0.5 * data.n_ratings * np.log(2.0 * np.pi * hp.sigma2)
         for eps_u, eps_v in noise:
             u = params.mu_u + s_u * eps_u
             v = params.mu_v + s_v * eps_v
-            # gather each side once; the products below reuse the buffers
-            u_rows = np.take(u, ii, axis=0)
-            v_rows = np.take(v, jj, axis=0)
-            dots = np.einsum("ij,ij->i", u_rows, v_rows)
-            mean = sigmoid(dots)
+            mean = sigmoid(row_dots(u, v, ii, jj, buffers))
             resid = rr - mean
-            loglik += const - np.sum(resid**2) / (2.0 * hp.sigma2)
-            # d(log lik)/d(dot) for each observation
+            loglik += residual_log_likelihood(resid, hp.sigma2)
+            # d(log lik)/d(dot) for each observation; the products reuse the gathers
             coef = (resid * mean * (1.0 - mean) / hp.sigma2)[:, None]
             g_u = by_user @ np.multiply(coef, v_rows, out=v_rows)
             g_v = by_item @ np.multiply(coef, u_rows, out=u_rows)
@@ -159,43 +145,26 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
 
 
 def elbo_value_with_noise(params: VariationalParams, data: RatingDataset,
-                          hp: ModelHyperparams, noise) -> float:
-    """ELBO estimate only (no gradient work) for explicit base noise."""
-    loglik = 0.0
-    if data.n_ratings:
-        s_u = np.exp(params.log_s_u)
-        s_v = np.exp(params.log_s_v)
-        ii, jj, rr = data.user_idx, data.item_idx, data.rating
-        const = -0.5 * data.n_ratings * np.log(2.0 * np.pi * hp.sigma2)
-        for eps_u, eps_v in noise:
-            u = params.mu_u + s_u * eps_u
-            v = params.mu_v + s_v * eps_v
-            resid = rating_residuals(u, v, ii, jj, rr)
-            loglik += const - np.sum(resid**2) / (2.0 * hp.sigma2)
-        loglik /= len(noise)
-    return float(loglik - _total_kl(params))
+                          hp: ModelHyperparams, noise, _buffers=None) -> float:
+    """ELBO estimate only (no gradient work) for explicit base noise:
+    the noise-averaged model log likelihood minus the analytic KL."""
+    s_u = np.exp(params.log_s_u)
+    s_v = np.exp(params.log_s_v)
+    loglik = sum(
+        log_likelihood_sum(params.mu_u + s_u * eps_u, params.mu_v + s_v * eps_v,
+                           data, hp.sigma2, _buffers)
+        for eps_u, eps_v in noise
+    )
+    return float(loglik / len(noise) - _total_kl(params))
 
 
-def elbo_estimate(params: VariationalParams, data: RatingDataset,
-                  hp: ModelHyperparams, mc_samples: int, rng) -> float:
-    """Monte Carlo ELBO with analytic KL; exact when there are no ratings."""
-    return elbo_value_with_noise(params, data, hp, draw_noise(params, mc_samples, rng))
-
-
-def elbo_gradient(params: VariationalParams, data: RatingDataset,
-                  hp: ModelHyperparams, mc_samples: int, rng) -> VariationalParams:
-    """Pathwise ELBO gradient; same-seeded rng reproduces the estimate's noise."""
-    _, grad = elbo_with_noise(params, data, hp, draw_noise(params, mc_samples, rng))
-    return grad
-
-
-def init_params(n_users: int, n_items: int, cfg: ViConfig) -> VariationalParams:
+def init_params(n_users: int, n_items: int, k: int, cfg: ViConfig) -> VariationalParams:
     rng = np.random.default_rng(cfg.seed)
     return VariationalParams(
-        rng.normal(0.0, cfg.init_mu_scale, size=(n_users, cfg.k)),
-        np.full((n_users, cfg.k), cfg.init_log_s),
-        rng.normal(0.0, cfg.init_mu_scale, size=(n_items, cfg.k)),
-        np.full((n_items, cfg.k), cfg.init_log_s),
+        rng.normal(0.0, cfg.init_mu_scale, size=(n_users, k)),
+        np.full((n_users, k), cfg.init_log_s),
+        rng.normal(0.0, cfg.init_mu_scale, size=(n_items, k)),
+        np.full((n_items, k), cfg.init_log_s),
     )
 
 
@@ -207,24 +176,27 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     random numbers), so trace movement reflects parameter movement
     rather than estimator jitter. Fully deterministic given the seed.
     """
-    params = init_params(data.n_users, data.n_items, cfg)
+    params = init_params(data.n_users, data.n_items, hp.k, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     # the monitoring noise depends only on the shapes, so one draw serves every epoch
     monitor = draw_noise(params, 1, np.random.default_rng(cfg.seed + 2))
-    scatter = _scatter_matrices(data) if data.n_ratings else None
+    scatter = incidence(data) if data.n_ratings else None
+    buffers = dot_buffers(data.n_ratings, hp.k)
     trace = []
-    for epoch in range(cfg.epochs):
-        noise = draw_noise(params, cfg.mc_samples, rng)
-        value, grad = elbo_with_noise(params, data, hp, noise, _scatter=scatter)
-        if not np.isfinite(value):
-            raise DivergenceError("ELBO became non-finite (reduce learning_rate)", epoch)
-        params.mu_u += cfg.learning_rate * grad.mu_u
-        params.log_s_u += cfg.learning_rate * grad.log_s_u
-        params.mu_v += cfg.learning_rate * grad.mu_v
-        params.log_s_v += cfg.learning_rate * grad.log_s_v
-        trace.append(elbo_value_with_noise(params, data, hp, monitor))
+    # overflow here is reported as a divergence error, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            noise = draw_noise(params, cfg.mc_samples, rng)
+            value, grad = elbo_with_noise(params, data, hp, noise,
+                                          _scatter=scatter, _buffers=buffers)
+            if not np.isfinite(value):
+                raise DivergenceError("ELBO became non-finite (reduce learning_rate)", epoch)
+            params.mu_u += cfg.learning_rate * grad.mu_u
+            params.log_s_u += cfg.learning_rate * grad.log_s_u
+            params.mu_v += cfg.learning_rate * grad.mu_v
+            params.log_s_v += cfg.learning_rate * grad.log_s_v
+            trace.append(elbo_value_with_noise(params, data, hp, monitor, _buffers=buffers))
     return params, trace
-
 
 
 def vi_predict(params: VariationalParams, i: int, j: int, scale: RatingScale,
@@ -244,8 +216,8 @@ def vi_predict_batch(params: VariationalParams, user_idx, item_idx,
     """Vectorized :func:`vi_predict` over paired index arrays."""
     user_idx = np.asarray(user_idx)
     item_idx = np.asarray(item_idx)
-    mu_dots = np.einsum("ij,ij->i", params.mu_u[user_idx], params.mu_v[item_idx])
     if mc_samples == 0:
+        mu_dots = row_dots(params.mu_u, params.mu_v, user_idx, item_idx)
         return denormalize_rating(sigmoid(mu_dots), scale)
     if rng is None:
         rng = np.random.default_rng(0)
@@ -257,12 +229,3 @@ def vi_predict_batch(params: VariationalParams, user_idx, item_idx,
         v = mu_v + s_v * rng.standard_normal(mu_v.shape)
         acc += sigmoid(np.einsum("ij,ij->i", u, v))
     return denormalize_rating(acc / mc_samples, scale)
-
-
-def export_trace(trace, path):
-    """Write the per-epoch ELBO sidecar: epoch,elbo."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "elbo"])
-        for epoch, value in enumerate(trace):
-            writer.writerow([epoch, repr(float(value))])

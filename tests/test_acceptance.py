@@ -179,7 +179,7 @@ def test_criterion_2_vi_oracle_equivalence():
     _, log_evidence = quadrature_1x1(0.8, 0.1)
 
     start = time.perf_counter()
-    cfg = ViConfig(k=1, learning_rate=0.05, epochs=1500, mc_samples=16, seed=0)
+    cfg = ViConfig(learning_rate=0.05, epochs=1500, mc_samples=16, seed=0)
     params, _ = vi_train(data, hp, cfg)
     fitted_elbo = exact_elbo_1x1(params, 0.8, 0.1)
     prediction = vi_predict(params, 0, 0, data.scale, mc_samples=10_000,
@@ -265,7 +265,7 @@ def test_criterion_4_gradient_checks():
     worst_mf = 0.0
     for seed in range(10):
         data = make_dataset(3, 3, 6, seed=50 + seed, k_true=2)
-        cfg = MfConfig(k=2, alpha=0.003)
+        cfg = MfConfig(alpha=0.003)
         rng = np.random.default_rng(3000 + seed)
         state = LatentState(rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)))
         new = mf_epoch(state, data, cfg)
@@ -385,7 +385,7 @@ def test_criterion_9_prior_sampling_sanity():
     m2 = float(np.mean(series**2))
     m2_ok = abs(m2 - 1.0) < 0.10
 
-    vi_cfg = ViConfig(k=2, learning_rate=0.05, epochs=200, seed=0)
+    vi_cfg = ViConfig(learning_rate=0.05, epochs=200, seed=0)
     params, _ = vi_train(empty, ModelHyperparams(2, 1.0), vi_cfg)
     mu_dev = max(float(np.abs(params.mu_u).max()), float(np.abs(params.mu_v).max()))
     sigma_dev = max(

@@ -5,7 +5,7 @@ import pytest
 
 from bpmf.baseline import MfConfig, init_state, mf_epoch, mf_loss, mf_train
 from bpmf.errors import DivergenceError
-from bpmf.model import LatentState, RatingDataset, RatingScale
+from bpmf.model import LatentState, ModelHyperparams, RatingDataset, RatingScale
 
 from conftest import make_dataset
 
@@ -40,14 +40,14 @@ class TestMfEpoch:
     def test_empty_observations_no_change(self):
         data = _dataset(2, 2, [])
         state = LatentState(np.ones((2, 2)), np.ones((2, 2)))
-        new = mf_epoch(state, data, MfConfig(k=2, alpha=0.1))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1))
         np.testing.assert_array_equal(new.u, state.u)
         np.testing.assert_array_equal(new.v, state.v)
 
     def test_fixed_point_at_exact_fit(self):
         data = _dataset(1, 1, [(0, 0, 1.0)])
         state = LatentState(np.array([[1.0]]), np.array([[1.0]]))
-        new = mf_epoch(state, data, MfConfig(k=1, alpha=0.1))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1))
         assert new.u[0, 0] == 1.0
         assert new.v[0, 0] == 1.0
 
@@ -55,7 +55,7 @@ class TestMfEpoch:
         # v=0 kills the u-gradient; v then moves using the unchanged u
         data = _dataset(1, 1, [(0, 0, 0.5)])
         state = LatentState(np.array([[1.0]]), np.array([[0.0]]))
-        new = mf_epoch(state, data, MfConfig(k=1, alpha=0.1))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1))
         assert new.u[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert new.v[0, 0] == pytest.approx(0.05, abs=1e-15)
 
@@ -64,7 +64,7 @@ class TestMfEpoch:
         # times the finite-difference gradient of mf_loss in each u entry
         rng = np.random.default_rng(0)
         data = make_dataset(3, 3, 6, seed=1, k_true=2)
-        cfg = MfConfig(k=2, alpha=0.003)
+        cfg = MfConfig(alpha=0.003)
         state = LatentState(rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)))
         new = mf_epoch(state, data, cfg)
         step = 1e-5
@@ -88,8 +88,8 @@ class TestMfEpoch:
             data.user_idx[perm], data.item_idx[perm], data.rating[perm],
             data.scale,
         )
-        state = init_state(4, 5, MfConfig(k=2, seed=5))
-        cfg = MfConfig(k=2, alpha=0.01)
+        state = init_state(4, 5, 2, MfConfig(seed=5))
+        cfg = MfConfig(alpha=0.01)
         a = mf_epoch(state, data, cfg)
         b = mf_epoch(state, shuffled, cfg)
         np.testing.assert_allclose(a.u, b.u, atol=1e-9)
@@ -97,16 +97,16 @@ class TestMfEpoch:
 
     def test_divergence_raises_with_epoch(self):
         data = make_dataset(4, 4, 10, seed=2)
-        cfg = MfConfig(k=2, alpha=1e6, epochs=50)
+        cfg = MfConfig(alpha=1e6, epochs=50)
         with pytest.raises(DivergenceError) as err:
-            mf_train(data, cfg)
+            mf_train(data, ModelHyperparams(2, 0.25), cfg)
         assert err.value.epoch is not None
 
 
 class TestMfTrain:
     def test_zero_epochs(self):
         data = make_dataset(3, 3, 5)
-        state, trace = mf_train(data, MfConfig(k=2, epochs=0))
+        state, trace = mf_train(data, ModelHyperparams(2, 0.25), MfConfig(epochs=0))
         assert trace == []
         assert state.u.shape == (3, 2)
 
@@ -115,24 +115,26 @@ class TestMfTrain:
         b = np.array([0.8, 0.3])
         triples = [(i, j, float(a[i] * b[j])) for i in range(2) for j in range(2)]
         data = _dataset(2, 2, triples)
-        _, trace = mf_train(data, MfConfig(k=1, alpha=0.05, epochs=500, seed=1))
+        _, trace = mf_train(data, ModelHyperparams(1, 0.25),
+                            MfConfig(alpha=0.05, epochs=500, seed=1))
         assert trace[-1] < 1e-3
 
     def test_deterministic_given_seed(self):
         data = make_dataset(5, 6, 15, seed=4)
-        cfg = MfConfig(k=3, alpha=0.005, epochs=30, seed=11)
-        s1, t1 = mf_train(data, cfg)
-        s2, t2 = mf_train(data, cfg)
+        hp, cfg = ModelHyperparams(3, 0.25), MfConfig(alpha=0.005, epochs=30, seed=11)
+        s1, t1 = mf_train(data, hp, cfg)
+        s2, t2 = mf_train(data, hp, cfg)
         assert t1 == t2
         np.testing.assert_array_equal(s1.u, s2.u)
 
     def test_loss_monotone_decrease_small_alpha(self):
         data = make_dataset(10, 10, 80, seed=6)
-        _, trace = mf_train(data, MfConfig(k=3, alpha=0.01, epochs=150, seed=2))
+        _, trace = mf_train(data, ModelHyperparams(3, 0.25),
+                            MfConfig(alpha=0.01, epochs=150, seed=2))
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-12)
 
     def test_trace_length_matches_epochs(self):
         data = make_dataset(3, 3, 5)
-        _, trace = mf_train(data, MfConfig(k=2, epochs=17))
+        _, trace = mf_train(data, ModelHyperparams(2, 0.25), MfConfig(epochs=17))
         assert len(trace) == 17

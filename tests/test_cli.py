@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bpmf.cli import _engine_config, build_parser, main
 from bpmf.evaluate import ExperimentConfig
@@ -27,6 +29,17 @@ def run_cli(*argv):
         return main(list(argv))
     except SystemExit as exc:
         return exc.code
+
+
+def assert_usage_error_before_loading(tmp_path, capsys, engine, *flags):
+    # the data file does not exist: a load before the check would exit 2
+    code = run_cli(
+        "run", "--engine", engine, "--data", str(tmp_path / "nope.csv"),
+        "--out", str(tmp_path / "out"), *flags,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bpmf: invalid configuration") and err.count("\n") == 1
 
 
 class TestRun:
@@ -101,16 +114,19 @@ class TestRun:
         assert code == 2
 
     @pytest.mark.parametrize("flag,value", [("--k", "0"), ("--sigma2", "nan"),
-                                            ("--sigma2", "-1")])
+                                            ("--sigma2", "-1"), ("--seed", "-1"),
+                                            ("--split-seed", "-1")])
     def test_bad_model_flag_is_usage_error_before_loading(self, flag, value, tmp_path, capsys):
-        # the data file does not exist: a load before the check would exit 2
-        code = run_cli(
-            "run", "--engine", "vi", "--data", str(tmp_path / "nope.csv"),
-            "--out", str(tmp_path / "out"), flag, value,
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("bpmf: invalid configuration") and err.count("\n") == 1
+        assert_usage_error_before_loading(tmp_path, capsys, "vi", flag, value)
+
+    @pytest.mark.parametrize("engine", ["mf", "mcmc"])
+    @pytest.mark.parametrize("flag", ["--seed", "--split-seed"])
+    def test_negative_seed_is_usage_error_on_every_engine(self, engine, flag, tmp_path, capsys):
+        assert_usage_error_before_loading(tmp_path, capsys, engine, flag, "-1")
+
+    def test_chain_length_past_float_range_is_usage_error(self, tmp_path, capsys):
+        # the default burn-in is 60% of the steps, computed in floating point
+        assert_usage_error_before_loading(tmp_path, capsys, "mcmc", "--n-steps", str(10**400))
 
     def test_divergent_training_is_runtime_error(self, small_csv, tmp_path):
         code = run_cli(
@@ -174,3 +190,41 @@ class TestCompare:
 
 def test_no_subcommand_is_usage_error():
     assert run_cli() == 1
+
+
+RUN_FLAGS = ("--engine", "--data", "--out", "--k", "--sigma2", "--epochs", "--seed",
+             "--split-seed", "--lr", "--mc-samples", "--n-steps", "--burn-in", "--thin",
+             "--proposal-std")
+MISSING = ("missing.csv", "missing.json", "other.json", "out")
+# a real argv holds no NUL; no "/" keeps every path inside the empty working directory
+VALUES = st.one_of(
+    st.integers().map(str),
+    st.floats().map(str),
+    st.sampled_from(("0", "-1", "nan", "inf", "-0", "1e400", str(10**400), "", "-", "--")),
+    st.text(st.characters(blacklist_characters="\x00/"), max_size=12),
+)
+TOKENS = st.one_of(
+    st.sampled_from(("run", "compare", "mf", "mcmc", "vi", "--csv", "-h", *RUN_FLAGS)),
+    st.sampled_from(MISSING),
+    VALUES,
+)
+PAIRS = st.lists(st.tuples(st.sampled_from(("--csv", *RUN_FLAGS)), VALUES), max_size=6)
+ARGV = st.one_of(
+    st.lists(TOKENS, max_size=12),
+    st.tuples(st.sampled_from(("mf", "mcmc", "vi")), PAIRS).map(
+        lambda parts: ["run", "--engine", parts[0], "--data", "missing.csv", "--out", "out",
+                       *(token for pair in parts[1] for token in pair)]),
+    st.tuples(st.lists(st.sampled_from(MISSING), max_size=3), st.lists(TOKENS, max_size=4)).map(
+        lambda parts: ["compare", *parts[0], *parts[1]]),
+)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=ARGV)
+def test_any_argv_exits_with_a_documented_code(argv, tmp_path, monkeypatch):
+    # relative paths resolve in an empty directory, so no data file or
+    # report exists and nothing trains
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) in (0, 1, 2)
+    assert not any(tmp_path.iterdir())

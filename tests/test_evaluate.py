@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from bpmf import evaluate
 from bpmf.baseline import MfConfig
 from bpmf.errors import BpmfError
 from bpmf.evaluate import (
@@ -162,7 +163,7 @@ class TestRunExperiment:
             engine="mf",
             data_path=str(ratings_small_csv),
             output_dir=str(out),
-            engine_config=MfConfig(k=4, epochs=20),
+            engine_config=MfConfig(epochs=20),
             k=4,
         )
         report = run_experiment(cfg)
@@ -180,7 +181,7 @@ class TestRunExperiment:
             engine="mf",
             data_path=str(ratings_small_csv),
             output_dir=str(tmp_path / "out"),
-            engine_config=MfConfig(k=4, epochs=0),
+            engine_config=MfConfig(epochs=0),
             k=4,
         )
         report = run_experiment(cfg)
@@ -192,7 +193,7 @@ class TestRunExperiment:
                 engine="vi",
                 data_path=str(ratings_small_csv),
                 output_dir=str(tmp_path / tag),
-                engine_config=ViConfig(k=4, epochs=15),
+                engine_config=ViConfig(epochs=15),
                 k=4,
             )
             return run_experiment(cfg)
@@ -201,6 +202,25 @@ class TestRunExperiment:
         assert a.rmse_validation == b.rmse_validation
         assert a.rmse_test == b.rmse_test
         assert a.loss_trace == b.loss_trace
+
+    @pytest.mark.parametrize("engine,engine_config", [("vi", ViConfig(epochs=15)),
+                                                      ("mf", MfConfig(epochs=20))])
+    def test_k_has_one_owner(self, engine, engine_config, ratings_small_csv, tmp_path,
+                             monkeypatch):
+        widths = []
+        predict = evaluate.predict_all
+
+        def spy(result, *args, **kwargs):
+            widths.append(result.k)
+            return predict(result, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "predict_all", spy)
+        out = tmp_path / engine
+        run_experiment(ExperimentConfig(engine=engine, data_path=str(ratings_small_csv),
+                                        output_dir=str(out), k=5,
+                                        engine_config=engine_config))
+        assert widths == [5, 5]
+        assert json.loads((out / "report.json").read_text())["config"]["k"] == 5
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(BpmfError):

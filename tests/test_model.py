@@ -17,6 +17,7 @@ from bpmf.model import (
     log_likelihood_entry,
     normalize_rating,
     predict_point,
+    row_dots,
     sigmoid,
 )
 
@@ -188,6 +189,21 @@ class TestLogJoint:
         state = LatentState(np.zeros((3, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             log_joint(state, data, ModelHyperparams(1, 1.0))
+
+
+class TestRowDots:
+    def test_matches_fancy_index_dots(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        a_idx, b_idx = rng.integers(0, 4, 20), rng.integers(0, 5, 20)
+        expected = np.einsum("ij,ij->i", a[a_idx], b[b_idx])
+        np.testing.assert_array_equal(row_dots(a, b, a_idx, b_idx), expected)
+
+    @pytest.mark.parametrize("a_idx,b_idx", [([4], [0]), ([0], [5]), ([-1], [0]), ([0], [-1])])
+    def test_index_out_of_range_raises(self, a_idx, b_idx):
+        # np.take with mode="clip" would clamp these to an edge row
+        with pytest.raises(IndexError):
+            row_dots(np.ones((4, 2)), np.ones((5, 2)), np.array(a_idx), np.array(b_idx))
 
 
 class TestPredictPoint:

@@ -1,15 +1,18 @@
 """Tests for the variational engine: KL closed form, pathwise gradients,
 bound property, optimization behavior, and prediction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from bpmf.errors import DivergenceError
 from bpmf.model import ModelHyperparams, RatingDataset, RatingScale
 from bpmf.vi import (
     VariationalParams,
     ViConfig,
     draw_noise,
-    elbo_estimate,
+    elbo_value_with_noise,
     elbo_with_noise,
     init_params,
     kl_gaussian_vs_standard,
@@ -57,7 +60,8 @@ class TestElboEstimate:
             np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
         )
         hp = ModelHyperparams(2, 0.25)
-        val = elbo_estimate(params, empty_dataset, hp, 4, np.random.default_rng(0))
+        val = elbo_value_with_noise(params, empty_dataset, hp,
+                                    draw_noise(params, 4, np.random.default_rng(0)))
         assert val == 0.0
 
     def test_no_observations_is_negative_kl(self, empty_dataset):
@@ -69,7 +73,8 @@ class TestElboEstimate:
             + np.sum(kl_gaussian_vs_standard(params.mu_v, params.log_s_v))
         )
         for seed in range(3):
-            val = elbo_estimate(params, empty_dataset, hp, 2, np.random.default_rng(seed))
+            noise = draw_noise(params, 2, np.random.default_rng(seed))
+            val = elbo_value_with_noise(params, empty_dataset, hp, noise)
             assert val == pytest.approx(expected, abs=1e-12)
 
     def test_latent_dimension_permutation_symmetry(self):
@@ -138,13 +143,13 @@ class TestElboGradient:
 class TestViTrain:
     def test_zero_epochs(self):
         data = make_dataset(3, 3, 5)
-        cfg = ViConfig(k=2, epochs=0)
+        cfg = ViConfig(epochs=0)
         params, trace = vi_train(data, ModelHyperparams(2, 0.25), cfg)
         assert trace == []
         assert params.mu_u.shape == (3, 2)
 
     def test_no_observations_converges_to_prior(self, empty_dataset):
-        cfg = ViConfig(k=2, learning_rate=0.05, epochs=200, seed=0)
+        cfg = ViConfig(learning_rate=0.05, epochs=200, seed=0)
         params, _ = vi_train(empty_dataset, ModelHyperparams(2, 0.25), cfg)
         np.testing.assert_allclose(params.mu_u, 0.0, atol=1e-2)
         np.testing.assert_allclose(params.mu_v, 0.0, atol=1e-2)
@@ -153,7 +158,7 @@ class TestViTrain:
 
     def test_deterministic_given_seed(self):
         data = make_dataset(4, 4, 8, seed=3)
-        cfg = ViConfig(k=2, epochs=25, seed=9)
+        cfg = ViConfig(epochs=25, seed=9)
         p1, t1 = vi_train(data, ModelHyperparams(2, 0.25), cfg)
         p2, t2 = vi_train(data, ModelHyperparams(2, 0.25), cfg)
         assert t1 == t2
@@ -162,7 +167,7 @@ class TestViTrain:
 
     def test_moving_average_elbo_non_decreasing(self):
         data = make_dataset(7, 7, 40, seed=8)
-        cfg = ViConfig(k=2, learning_rate=0.01, epochs=200, mc_samples=32, seed=1)
+        cfg = ViConfig(learning_rate=0.01, epochs=200, mc_samples=32, seed=1)
         _, trace = vi_train(data, ModelHyperparams(2, 0.25), cfg)
         window = 20
         smoothed = np.convolve(trace, np.ones(window) / window, mode="valid")
@@ -170,8 +175,16 @@ class TestViTrain:
 
     def test_trace_length_matches_epochs(self):
         data = make_dataset(3, 3, 5)
-        _, trace = vi_train(data, ModelHyperparams(2, 0.25), ViConfig(k=2, epochs=13))
+        _, trace = vi_train(data, ModelHyperparams(2, 0.25), ViConfig(epochs=13))
         assert len(trace) == 13
+
+    def test_divergence_raises_without_numpy_warnings(self):
+        data = make_dataset(20, 30, 200, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                vi_train(data, ModelHyperparams(10, 0.25), ViConfig(learning_rate=1e4, epochs=50))
+        assert err.value.epoch is not None
 
 
 class TestViPredict:
