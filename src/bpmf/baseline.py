@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .model import LatentState, ModelHyperparams, RatingDataset, dot_buffers, incidence, row_dots
+from .model import LatentState, ModelHyperparams, RatingDataset, dot_buffers, row_dots
 
 
 @dataclass(frozen=True)
 class MfConfig:
     alpha: float = 0.002
     epochs: int = 200
-    init_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -28,8 +27,8 @@ class MfConfig:
             raise ValueError("alpha must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def mf_loss(state: LatentState, data: RatingDataset, _buffers=None) -> float:
@@ -49,12 +48,12 @@ def _check_shapes(state: LatentState, data: RatingDataset):
 
 
 def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig,
-             _scatter=None, _buffers=None, _epoch=0) -> LatentState:
+             _buffers=None, _epoch=0) -> LatentState:
     """One full-batch update: the U block first, then V against the new U."""
     _check_shapes(state, data)
     if data.n_ratings == 0:
         return state.copy()
-    by_user, by_item = _scatter if _scatter is not None else incidence(data)
+    by_user, by_item = data.incidence
     buffers = _buffers if _buffers is not None else dot_buffers(data.n_ratings, state.k)
     u_rows, v_rows, _ = buffers
     ii, jj, rr = data.user_idx, data.item_idx, data.rating
@@ -76,8 +75,8 @@ def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig,
 def init_state(n_users: int, n_items: int, k: int, cfg: MfConfig) -> LatentState:
     rng = np.random.default_rng(cfg.seed)
     return LatentState(
-        rng.normal(0.0, cfg.init_scale, size=(n_users, k)),
-        rng.normal(0.0, cfg.init_scale, size=(n_items, k)),
+        rng.normal(0.0, 0.1, size=(n_users, k)),
+        rng.normal(0.0, 0.1, size=(n_items, k)),
     )
 
 
@@ -88,10 +87,9 @@ def mf_train(data: RatingDataset, hp: ModelHyperparams, cfg: MfConfig):
     plays no part in a prior-free squared loss.
     """
     state = init_state(data.n_users, data.n_items, hp.k, cfg)
-    scatter = incidence(data) if data.n_ratings else None
     buffers = dot_buffers(data.n_ratings, hp.k)
     trace = []
     for epoch in range(cfg.epochs):
-        state = mf_epoch(state, data, cfg, _scatter=scatter, _buffers=buffers, _epoch=epoch)
+        state = mf_epoch(state, data, cfg, _buffers=buffers, _epoch=epoch)
         trace.append(mf_loss(state, data, _buffers=buffers))
     return state, trace

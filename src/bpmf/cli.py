@@ -11,9 +11,8 @@ import sys
 
 from .baseline import MfConfig
 from .errors import BpmfError, DataFormatError, UsageError
-from .evaluate import ExperimentConfig, ExperimentReport, compare, run_experiment
+from .evaluate import ENGINES, ExperimentConfig, ExperimentReport, compare, run_experiment
 from .mcmc import desk_scale_config
-from .model import ModelHyperparams
 from .vi import ViConfig
 
 
@@ -30,14 +29,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="train one engine and write report/trace")
-    run.add_argument("--engine", required=True, choices=("mf", "mcmc", "vi"))
+    run.add_argument("--engine", required=True, choices=ENGINES)
     run.add_argument("--data", required=True, help="path to a ratings.csv file")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--k", type=int, default=10)
-    run.add_argument("--sigma2", type=float, default=0.25)
+    run.add_argument("--k", type=int)
+    run.add_argument("--sigma2", type=float)
     run.add_argument("--epochs", type=int, help="MF/VI training epochs")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--split-seed", type=int, default=0)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--split-seed", type=int)
     run.add_argument("--lr", type=float, help="MF/VI learning rate")
     run.add_argument("--mc-samples", type=int, help="VI ELBO samples per epoch")
     run.add_argument("--n-steps", type=int, help="MCMC chain length")
@@ -59,34 +58,28 @@ def _given(**values):
 
 def _engine_config(args):
     if args.engine == "mf":
-        return MfConfig(seed=args.seed, **_given(alpha=args.lr, epochs=args.epochs))
+        return MfConfig(**_given(alpha=args.lr, epochs=args.epochs, seed=args.seed))
     if args.engine == "mcmc":
         return desk_scale_config(
             n_steps=args.n_steps, burn_in=args.burn_in, thin=args.thin,
-            proposal_std=args.proposal_std, seed=args.seed,
+            proposal_std=args.proposal_std, **_given(seed=args.seed),
         )
-    return ViConfig(seed=args.seed, **_given(learning_rate=args.lr, epochs=args.epochs,
-                                             mc_samples=args.mc_samples))
+    return ViConfig(**_given(learning_rate=args.lr, epochs=args.epochs,
+                             mc_samples=args.mc_samples, seed=args.seed))
 
 
 def _cmd_run(args) -> int:
     # every flag is checked before the data file is read
     try:
-        if min(args.seed, args.split_seed) < 0:
-            raise ValueError("--seed and --split-seed must be >= 0")
-        engine_cfg = _engine_config(args)
-        ModelHyperparams(k=args.k, sigma2=args.sigma2)
+        cfg = ExperimentConfig(
+            engine=args.engine,
+            data_path=args.data,
+            output_dir=args.out,
+            engine_config=_engine_config(args),
+            **_given(k=args.k, sigma2=args.sigma2, split_seed=args.split_seed),
+        )
     except (ValueError, OverflowError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
-    cfg = ExperimentConfig(
-        engine=args.engine,
-        data_path=args.data,
-        output_dir=args.out,
-        k=args.k,
-        sigma2=args.sigma2,
-        split_seed=args.split_seed,
-        engine_config=engine_cfg,
-    )
     report = run_experiment(cfg)
     print(
         f"{args.engine}: rmse_validation={report.rmse_validation:.4f} "

@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,8 @@ from .errors import BpmfError, DataFormatError
 from .model import RatingDataset, RatingScale
 
 EXPECTED_HEADER = ["userId", "movieId", "rating", "timestamp"]
+# the train/validation/test shares of the paper's split
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 # The columnar parse takes only bodies made of these bytes, with every
 # line shorter than the csv field limit. Within them np.loadtxt and the
@@ -39,18 +41,8 @@ class IdMaps:
 
     user_to_index: dict
     item_to_index: dict
-    index_to_user: list = field(default_factory=list)
-    index_to_item: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.index_to_user:
-            self.index_to_user = [None] * len(self.user_to_index)
-            for uid, idx in self.user_to_index.items():
-                self.index_to_user[idx] = uid
-        if not self.index_to_item:
-            self.index_to_item = [None] * len(self.item_to_index)
-            for mid, idx in self.item_to_index.items():
-                self.index_to_item[idx] = mid
+    index_to_user: list
+    index_to_item: list
 
 
 @dataclass
@@ -222,12 +214,14 @@ def build_dataset(ratings, scale: RatingScale):
     users, ii = _first_appearance(np.asarray(user_ids, dtype=np.int64))
     items, jj = _first_appearance(np.asarray(movie_ids, dtype=np.int64))
     data = RatingDataset(users.size, items.size, ii, jj, (values - scale.r_min) / scale.span, scale)
-    maps = IdMaps(user_to_index=dict(zip(users.tolist(), range(users.size))),
-                  item_to_index=dict(zip(items.tolist(), range(items.size))))
+    users, items = users.tolist(), items.tolist()
+    maps = IdMaps(user_to_index=dict(zip(users, range(len(users)))),
+                  item_to_index=dict(zip(items, range(len(items)))),
+                  index_to_user=users, index_to_item=items)
     return data, maps
 
 
-def split_dataset(data: RatingDataset, fractions=(0.6, 0.2, 0.2), seed: int = 0,
+def split_dataset(data: RatingDataset, fractions=SPLIT_FRACTIONS, seed: int = 0,
                   maps: IdMaps | None = None) -> SplitDataset:
     """Random train/validation/test partition of the rating triples.
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import MfConfig, mf_train
-from .data import build_dataset, load_ratings, split_dataset
+from .data import SPLIT_FRACTIONS, build_dataset, load_ratings, split_dataset
 from .errors import BpmfError, DataFormatError, UsageError
 from .mcmc import ChainTrace, desk_scale_config, mcmc_predict_batch, run_chain
 from .model import LatentState, ModelHyperparams, RatingDataset, denormalize_rating, row_dots
@@ -27,24 +27,23 @@ from .vi import VariationalParams, ViConfig, vi_predict_batch, vi_train
 DEFAULT_CONFIGS = {"mf": MfConfig, "mcmc": desk_scale_config, "vi": ViConfig}
 ENGINES = tuple(DEFAULT_CONFIGS)
 
-# MC sample count used when scoring a fitted variational posterior
-VI_PREDICT_SAMPLES = 32
 
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     engine: str
     data_path: str
     output_dir: str
     k: int = 10
     sigma2: float = 0.25
-    fractions: tuple = (0.6, 0.2, 0.2)
     split_seed: int = 0
     engine_config: object = None
 
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise BpmfError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+        if self.split_seed < 0:
+            raise ValueError("split_seed must be >= 0")
+        ModelHyperparams(k=self.k, sigma2=self.sigma2)
 
     def resolved_engine_config(self):
         if self.engine_config is not None:
@@ -109,7 +108,7 @@ def global_mean_rating(train: RatingDataset) -> float:
 
 
 def predict_all(engine_result, eval_data: RatingDataset, train_data: RatingDataset,
-                fallback: float | None = None, vi_mc_samples: int = VI_PREDICT_SAMPLES):
+                fallback: float | None = None):
     """Batch predictions for an eval set; returns (predictions, cold_count).
 
     Any user or item with zero training ratings gets the fallback value
@@ -128,10 +127,7 @@ def predict_all(engine_result, eval_data: RatingDataset, train_data: RatingDatas
     elif isinstance(engine_result, ChainTrace):
         preds = mcmc_predict_batch(engine_result, ii, jj, eval_data.scale)
     elif isinstance(engine_result, VariationalParams):
-        preds = vi_predict_batch(
-            engine_result, ii, jj, eval_data.scale,
-            mc_samples=vi_mc_samples, rng=np.random.default_rng(0),
-        )
+        preds = vi_predict_batch(engine_result, ii, jj, eval_data.scale)
     else:
         raise BpmfError(f"unknown engine result type {type(engine_result).__name__}")
 
@@ -151,7 +147,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     raw, scale = load_ratings(cfg.data_path)
     data, maps = build_dataset(raw, scale)
-    split = split_dataset(data, cfg.fractions, cfg.split_seed, maps=maps)
+    split = split_dataset(data, seed=cfg.split_seed, maps=maps)
     engine_cfg = cfg.resolved_engine_config()
     hp = ModelHyperparams(k=cfg.k, sigma2=cfg.sigma2)
 
@@ -176,7 +172,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "data_path": str(cfg.data_path),
             "k": cfg.k,
             "sigma2": cfg.sigma2,
-            "fractions": list(cfg.fractions),
+            "fractions": list(SPLIT_FRACTIONS),
             "split_seed": cfg.split_seed,
             "engine_config": dataclasses.asdict(engine_cfg),
         },

@@ -51,7 +51,6 @@ class McmcConfig:
     thin: int = 1
     proposal_std: float = 0.004
     seed: int = 0
-    init_scale: float = 1.0
     proposal: str = "joint"
 
     def __post_init__(self):
@@ -63,8 +62,8 @@ class McmcConfig:
             raise ValueError("thin must be >= 1")
         if not self.proposal_std > 0:
             raise ValueError("proposal_std must be positive")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def desk_scale_config(n_steps=None, burn_in=None, thin=None, proposal_std=None,
@@ -206,35 +205,27 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig) -> Cha
     Retains the states at steps burn_in, burn_in + thin, ... (0-based).
     """
     rng = np.random.default_rng(cfg.seed)
+    # the chain starts from a draw of the standard-normal prior
     state = LatentState(
-        rng.normal(0.0, cfg.init_scale, size=(data.n_users, hp.k)),
-        rng.normal(0.0, cfg.init_scale, size=(data.n_items, hp.k)),
+        rng.normal(0.0, 1.0, size=(data.n_users, hp.k)),
+        rng.normal(0.0, 1.0, size=(data.n_items, hp.k)),
     )
     log_g = log_joint(state, data, hp)
     if not np.isfinite(log_g):
         raise BpmfError("non-finite log joint at initialization")
 
-    if cfg.proposal == "joint":
-        accepted = np.zeros(cfg.n_steps, dtype=bool)
-
-        def step(state, log_g):
-            return mh_step(state, data, hp, cfg, rng, log_g_current=log_g)
-    else:
-        accepted = np.zeros(cfg.n_steps)
-        cache = RowwiseCache.for_state(state, data)
-
-        def step(state, log_g):
-            return (state, *rowwise_sweep(state, data, hp, cfg, rng, cache, log_g))
-
-    samples = []
-    energies = np.empty(cfg.n_steps)
+    cache = RowwiseCache.for_state(state, data) if cfg.proposal == "rowwise" else None
+    samples, energies, accepted = [], [], []
     for t in range(cfg.n_steps):
-        state, acc, log_g = step(state, log_g)
-        energies[t] = log_g
-        accepted[t] = acc
+        if cache is None:
+            state, acc, log_g = mh_step(state, data, hp, cfg, rng, log_g_current=log_g)
+        else:
+            acc, log_g = rowwise_sweep(state, data, hp, cfg, rng, cache, log_g)
+        energies.append(log_g)
+        accepted.append(acc)
         if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
             samples.append(state.copy())
-    return ChainTrace(samples=samples, energies=energies, accepted=accepted)
+    return ChainTrace(samples=samples, energies=np.array(energies), accepted=np.array(accepted))
 
 
 def mcmc_predict(trace: ChainTrace, i: int, j: int, scale: RatingScale) -> float:

@@ -9,6 +9,7 @@ normalization constants are kept so log densities are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -85,6 +86,20 @@ class RatingDataset:
     @property
     def n_ratings(self) -> int:
         return int(self.rating.size)
+
+    @cached_property
+    def incidence(self):
+        """CSR scatter pair, built on first use and kept (so the indices must not
+        change): ``by_user @ x`` sums per-rating rows of ``x`` by user, ``by_item @ x`` by item."""
+        ones = np.ones(self.n_ratings)
+        arange = np.arange(self.n_ratings)
+        by_user = sparse.csr_matrix(
+            (ones, (self.user_idx, arange)), shape=(self.n_users, self.n_ratings)
+        )
+        by_item = sparse.csr_matrix(
+            (ones, (self.item_idx, arange)), shape=(self.n_items, self.n_ratings)
+        )
+        return by_user, by_item
 
     def triples(self):
         return list(zip(self.user_idx.tolist(), self.item_idx.tolist(), self.rating.tolist()))
@@ -210,20 +225,6 @@ def log_likelihood_sum(u, v, data: RatingDataset, sigma2: float, buffers=None) -
         return 0.0
     resid = rating_residuals(u, v, data.user_idx, data.item_idx, data.rating, buffers)
     return residual_log_likelihood(resid, sigma2)
-
-
-def incidence(data: RatingDataset):
-    """CSR scatter pair: ``by_user @ x`` sums per-rating rows of ``x`` by user,
-    ``by_item @ x`` by item."""
-    ones = np.ones(data.n_ratings)
-    arange = np.arange(data.n_ratings)
-    by_user = sparse.csr_matrix(
-        (ones, (data.user_idx, arange)), shape=(data.n_users, data.n_ratings)
-    )
-    by_item = sparse.csr_matrix(
-        (ones, (data.item_idx, arange)), shape=(data.n_items, data.n_ratings)
-    )
-    return by_user, by_item
 
 
 def log_joint(state: LatentState, data: RatingDataset, hp: ModelHyperparams) -> float:

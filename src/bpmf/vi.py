@@ -20,12 +20,14 @@ from .model import (
     RatingScale,
     denormalize_rating,
     dot_buffers,
-    incidence,
     log_likelihood_sum,
     residual_log_likelihood,
     row_dots,
     sigmoid,
 )
+
+# posterior draws averaged when scoring a fitted model
+PREDICT_SAMPLES = 32
 
 
 @dataclass
@@ -61,8 +63,6 @@ class ViConfig:
     epochs: int = 300
     mc_samples: int = 2
     seed: int = 0
-    init_mu_scale: float = 0.5
-    init_log_s: float = 0.0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -71,6 +71,8 @@ class ViConfig:
             raise ValueError("epochs must be >= 0")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def kl_gaussian_vs_standard(mu, log_s):
@@ -97,7 +99,7 @@ def draw_noise(params: VariationalParams, mc_samples: int, rng):
 
 
 def elbo_with_noise(params: VariationalParams, data: RatingDataset,
-                    hp: ModelHyperparams, noise, _scatter=None, _buffers=None):
+                    hp: ModelHyperparams, noise, _buffers=None):
     """ELBO estimate and its pathwise gradient for explicit base noise.
 
     The KL-to-prior part is analytic; only the likelihood expectation is
@@ -112,7 +114,7 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
     )
     loglik = 0.0
     if data.n_ratings:
-        by_user, by_item = _scatter if _scatter is not None else incidence(data)
+        by_user, by_item = data.incidence
         buffers = _buffers if _buffers is not None else dot_buffers(data.n_ratings, params.k)
         u_rows, v_rows, _ = buffers
         ii, jj, rr = data.user_idx, data.item_idx, data.rating
@@ -161,10 +163,10 @@ def elbo_value_with_noise(params: VariationalParams, data: RatingDataset,
 def init_params(n_users: int, n_items: int, k: int, cfg: ViConfig) -> VariationalParams:
     rng = np.random.default_rng(cfg.seed)
     return VariationalParams(
-        rng.normal(0.0, cfg.init_mu_scale, size=(n_users, k)),
-        np.full((n_users, k), cfg.init_log_s),
-        rng.normal(0.0, cfg.init_mu_scale, size=(n_items, k)),
-        np.full((n_items, k), cfg.init_log_s),
+        rng.normal(0.0, 0.5, size=(n_users, k)),
+        np.zeros((n_users, k)),
+        rng.normal(0.0, 0.5, size=(n_items, k)),
+        np.zeros((n_items, k)),
     )
 
 
@@ -180,15 +182,13 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     rng = np.random.default_rng(cfg.seed + 1)
     # the monitoring noise depends only on the shapes, so one draw serves every epoch
     monitor = draw_noise(params, 1, np.random.default_rng(cfg.seed + 2))
-    scatter = incidence(data) if data.n_ratings else None
     buffers = dot_buffers(data.n_ratings, hp.k)
     trace = []
     # overflow here is reported as a divergence error, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             noise = draw_noise(params, cfg.mc_samples, rng)
-            value, grad = elbo_with_noise(params, data, hp, noise,
-                                          _scatter=scatter, _buffers=buffers)
+            value, grad = elbo_with_noise(params, data, hp, noise, _buffers=buffers)
             if not np.isfinite(value):
                 raise DivergenceError("ELBO became non-finite (reduce learning_rate)", epoch)
             params.mu_u += cfg.learning_rate * grad.mu_u
@@ -211,21 +211,17 @@ def vi_predict(params: VariationalParams, i: int, j: int, scale: RatingScale,
     return float(denormalize_rating(float(np.mean(sigmoid(np.einsum("sk,sk->s", u, v)))), scale))
 
 
-def vi_predict_batch(params: VariationalParams, user_idx, item_idx,
-                     scale: RatingScale, mc_samples: int = 0, rng=None):
-    """Vectorized :func:`vi_predict` over paired index arrays."""
+def vi_predict_batch(params: VariationalParams, user_idx, item_idx, scale: RatingScale):
+    """Predicted ratings for paired index arrays: the mean of sigmoid(u.v)
+    over ``PREDICT_SAMPLES`` posterior draws from ``default_rng(0)``."""
     user_idx = np.asarray(user_idx)
     item_idx = np.asarray(item_idx)
-    if mc_samples == 0:
-        mu_dots = row_dots(params.mu_u, params.mu_v, user_idx, item_idx)
-        return denormalize_rating(sigmoid(mu_dots), scale)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     acc = np.zeros(user_idx.shape, dtype=np.float64)
     mu_u, s_u = params.mu_u[user_idx], np.exp(params.log_s_u[user_idx])
     mu_v, s_v = params.mu_v[item_idx], np.exp(params.log_s_v[item_idx])
-    for _ in range(mc_samples):
+    for _ in range(PREDICT_SAMPLES):
         u = mu_u + s_u * rng.standard_normal(mu_u.shape)
         v = mu_v + s_v * rng.standard_normal(mu_v.shape)
         acc += sigmoid(np.einsum("ij,ij->i", u, v))
-    return denormalize_rating(acc / mc_samples, scale)
+    return denormalize_rating(acc / PREDICT_SAMPLES, scale)

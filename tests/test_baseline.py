@@ -138,3 +138,9 @@ class TestMfTrain:
         data = make_dataset(3, 3, 5)
         _, trace = mf_train(data, ModelHyperparams(2, 0.25), MfConfig(epochs=17))
         assert len(trace) == 17
+
+
+class TestMfConfig:
+    def test_negative_seed(self):
+        with pytest.raises(ValueError):
+            MfConfig(seed=-1)

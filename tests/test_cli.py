@@ -1,5 +1,6 @@
 """End-to-end CLI tests: argument handling, artifacts, and exit codes."""
 
+import argparse
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bpmf.cli import _engine_config, build_parser, main
-from bpmf.evaluate import ExperimentConfig
+from bpmf.evaluate import ENGINES, ExperimentConfig
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +80,25 @@ class TestRun:
         assert report["config"]["engine_config"]["burn_in"] == 120
         assert len(report["loss_trace"]) == 200
 
-    def test_mcmc_defaults_match_the_library(self):
-        # `bpmf run` and ExperimentConfig resolve the same desk-scale chain
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_defaults_match_the_library(self, engine):
+        # `bpmf run` and ExperimentConfig resolve the same engine config
         args = build_parser().parse_args(
-            ["run", "--engine", "mcmc", "--data", "x", "--out", "y"])
-        library = ExperimentConfig(engine="mcmc", data_path="x", output_dir="y")
+            ["run", "--engine", engine, "--data", "x", "--out", "y"])
+        library = ExperimentConfig(engine=engine, data_path="x", output_dir="y")
         assert _engine_config(args) == library.resolved_engine_config()
-        assert _engine_config(args).proposal == "rowwise"
+        if engine == "mcmc":
+            assert _engine_config(args).proposal == "rowwise"
+
+    def test_configs_own_every_default(self):
+        # a flag the user leaves out is None, so the config's default applies
+        run = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)).choices["run"]
+        optional = [action for action in run._actions
+                    if action.option_strings and not action.required and action.dest != "help"]
+        assert optional and all(action.default is None for action in optional)
+        engine = next(action for action in run._actions if action.dest == "engine")
+        assert tuple(engine.choices) == ENGINES
 
     def test_missing_required_flag_is_usage_error(self, small_csv):
         assert run_cli("run", "--engine", "mf", "--data", str(small_csv)) == 1

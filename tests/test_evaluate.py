@@ -226,6 +226,19 @@ class TestRunExperiment:
         with pytest.raises(BpmfError):
             ExperimentConfig(engine="gibbs", data_path="x", output_dir="y")
 
+    @pytest.mark.parametrize("setting", [{"split_seed": -1}, {"k": 0}, {"sigma2": float("nan")}],
+                             ids=["split_seed", "k", "sigma2"])
+    def test_bad_setting_fails_before_the_load(self, setting, tmp_path):
+        # the data file does not exist: a check after the load would raise OSError
+        with pytest.raises(ValueError):
+            run_experiment(ExperimentConfig(engine="vi", data_path=str(tmp_path / "nope.csv"),
+                                            output_dir=str(tmp_path / "out"), **setting))
+
+    def test_checked_settings_cannot_be_reassigned(self):
+        cfg = ExperimentConfig(engine="vi", data_path="x", output_dir="y")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.split_seed = -1
+
 
 class TestCompare:
     @staticmethod

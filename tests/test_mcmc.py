@@ -4,6 +4,7 @@ chain mechanics, determinism, and prior-sampling sanity."""
 import numpy as np
 import pytest
 
+from bpmf import mcmc
 from bpmf.errors import BpmfError
 from bpmf.mcmc import (
     ChainTrace,
@@ -166,6 +167,26 @@ class TestRunChain:
         b = run_chain(tiny_dataset, hp, cfg)
         np.testing.assert_array_equal(a.energies, b.energies)
         np.testing.assert_array_equal(a.accepted, b.accepted)
+
+    def test_chain_length_is_not_an_allocation(self, tiny_dataset, monkeypatch):
+        # a chain too long for any array runs until something stops it
+        class Stop(Exception):
+            pass
+
+        sweep = mcmc.rowwise_sweep
+        calls = []
+
+        def three_sweeps(*args):
+            calls.append(None)
+            if len(calls) > 3:
+                raise Stop
+            return sweep(*args)
+
+        monkeypatch.setattr(mcmc, "rowwise_sweep", three_sweeps)
+        cfg = McmcConfig(n_steps=10**30, burn_in=0, proposal="rowwise", proposal_std=0.5)
+        with pytest.raises(Stop):
+            run_chain(tiny_dataset, ModelHyperparams(1, 0.1), cfg)
+        assert len(calls) == 4
 
     def test_energies_always_finite(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
@@ -367,6 +388,10 @@ class TestConfigValidation:
     def test_unknown_proposal(self):
         with pytest.raises(ValueError):
             McmcConfig(n_steps=10, burn_in=0, proposal="gibbs")
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError):
+            McmcConfig(n_steps=10, burn_in=0, seed=-1)
 
     def test_library_default_is_the_joint_kernel(self):
         cfg = McmcConfig()

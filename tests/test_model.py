@@ -206,6 +206,21 @@ class TestRowDots:
             row_dots(np.ones((4, 2)), np.ones((5, 2)), np.array(a_idx), np.array(b_idx))
 
 
+class TestIncidence:
+    def test_cached_pair_sums_rows_by_user_and_item(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        a_idx, b_idx = np.divmod(rng.permutation(20), 5)
+        data = RatingDataset(4, 5, a_idx, b_idx, rng.uniform(size=20), RatingScale(5))
+        pair = data.incidence
+        assert data.incidence is pair
+        by_user, by_item = pair
+        for rows, scatter, own_idx, n in ((b[b_idx], by_user, a_idx, 4),
+                                          (a[a_idx], by_item, b_idx, 5)):
+            expected = np.array([rows[own_idx == r].sum(axis=0) for r in range(n)])
+            np.testing.assert_allclose(scatter @ rows, expected, rtol=1e-12, atol=1e-12)
+
+
 class TestPredictPoint:
     def test_midpoint(self):
         assert predict_point(np.zeros(2), np.zeros(2), RatingScale(5)) == 3.0

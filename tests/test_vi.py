@@ -223,3 +223,7 @@ class TestConfigValidation:
     def test_mc_samples_at_least_one(self):
         with pytest.raises(ValueError):
             ViConfig(mc_samples=0)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError):
+            ViConfig(seed=-1)
