@@ -1,11 +1,12 @@
 """Compare how the two posterior engines approach convergence.
 
-Runs VI and MCMC on a mid-sized synthetic ratings file, writes both
-trace CSVs, and prints a coarse text sketch of each trace together with
-its plateau epoch (the point after which the running best improves by
-less than 0.1% over the remainder of the run). VI typically flattens
-well before its epoch budget; the random-walk chain is still drifting
-upward at the end of its budget.
+Runs VI and the default row-blocked MCMC chain on a mid-sized synthetic
+ratings file, writes both trace CSVs, and prints each engine's test
+RMSE, its plateau epoch (after which the running best improves by less
+than 0.1% over the rest of the run) and an ASCII sketch of its trace.
+Both traces climb early and level off at about the same test RMSE; the
+chain's log joint then fluctuates around its level, as a sampler's
+should, so its plateau epoch marks the last noise-driven new best.
 
 Run:  python3 demos/convergence_traces.py
 """
@@ -44,7 +45,7 @@ def main():
 
     runs = {
         "vi": ViConfig(epochs=400),
-        "mcmc": McmcConfig(n_steps=8000, burn_in=4800, thin=32, proposal_std=0.008),
+        "mcmc": McmcConfig(n_steps=2000),
     }
     for engine, engine_cfg in runs.items():
         cfg = ExperimentConfig(

@@ -80,7 +80,8 @@ def main():
 
     chain = run_chain(
         data, hp,
-        McmcConfig(n_steps=50_000, burn_in=10_000, thin=10, proposal_std=0.5, seed=0),
+        McmcConfig(n_steps=50_000, burn_in=10_000, thin=10, proposal_std=0.5, seed=0,
+                   proposal="joint"),
     )
     mcmc_rating = mcmc_predict(chain, 0, 0, scale)
     print(f"\nMCMC predictive rating:       {mcmc_rating:.4f} "

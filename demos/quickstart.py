@@ -31,7 +31,7 @@ def main():
 
     engine_configs = {
         "mf": MfConfig(alpha=0.002, epochs=200),
-        "mcmc": McmcConfig(n_steps=4000, burn_in=2400, thin=16, proposal_std=0.01),
+        "mcmc": McmcConfig(n_steps=4000),
         "vi": ViConfig(epochs=200),
     }
 

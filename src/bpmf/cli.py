@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .baseline import MfConfig
 from .errors import BpmfError, DataFormatError, UsageError
 from .evaluate import ENGINES, ExperimentConfig, ExperimentReport, compare, run_experiment
-from .mcmc import desk_scale_config
+from .mcmc import McmcConfig
 from .vi import ViConfig
 
 
@@ -56,14 +57,23 @@ def _given(**values):
     return {name: value for name, value in values.items() if value is not None}
 
 
+def _check_paths(*paths):
+    """A path the OS cannot take fails like a missing file, before any work."""
+    for path in paths:
+        try:
+            if b"\0" not in os.fsencode(path):
+                continue
+        except UnicodeEncodeError:
+            pass
+        raise BpmfError(f"invalid path {path!r}")
+
+
 def _engine_config(args):
     if args.engine == "mf":
         return MfConfig(**_given(alpha=args.lr, epochs=args.epochs, seed=args.seed))
     if args.engine == "mcmc":
-        return desk_scale_config(
-            n_steps=args.n_steps, burn_in=args.burn_in, thin=args.thin,
-            proposal_std=args.proposal_std, **_given(seed=args.seed),
-        )
+        return McmcConfig(**_given(n_steps=args.n_steps, burn_in=args.burn_in, thin=args.thin,
+                                   proposal_std=args.proposal_std, seed=args.seed))
     return ViConfig(**_given(learning_rate=args.lr, epochs=args.epochs,
                              mc_samples=args.mc_samples, seed=args.seed))
 
@@ -80,6 +90,7 @@ def _cmd_run(args) -> int:
         )
     except (ValueError, OverflowError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
+    _check_paths(args.data, args.out)
     report = run_experiment(cfg)
     print(
         f"{args.engine}: rmse_validation={report.rmse_validation:.4f} "
@@ -92,6 +103,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_paths(*args.reports, *([args.csv] if args.csv else []))
     reports = []
     for path in args.reports:
         with open(path) as fh:

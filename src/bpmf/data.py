@@ -221,17 +221,15 @@ def build_dataset(ratings, scale: RatingScale):
     return data, maps
 
 
-def split_dataset(data: RatingDataset, fractions=SPLIT_FRACTIONS, seed: int = 0,
-                  maps: IdMaps | None = None) -> SplitDataset:
+def split_dataset(data: RatingDataset, seed: int = 0, maps: IdMaps | None = None) -> SplitDataset:
     """Random train/validation/test partition of the rating triples.
 
     The triple order is permuted with a seeded PCG64 generator and cut at
-    floor(L*train) and floor(L*(train+val)); all three parts keep the
-    full (n_users, n_items) dimensions and the original scale.
+    floor(L*train) and floor(L*(train+val)), the shares of
+    ``SPLIT_FRACTIONS``; all three parts keep the full (n_users,
+    n_items) dimensions and the original scale.
     """
-    f_train, f_val, f_test = fractions
-    if min(fractions) <= 0 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise BpmfError(f"fractions must be positive and sum to 1, got {fractions}")
+    f_train, f_val, _ = SPLIT_FRACTIONS
     length = data.n_ratings
     if length < 3:
         raise BpmfError(f"need at least 3 ratings to split, got {length}")

@@ -19,12 +19,12 @@ import numpy as np
 from .baseline import MfConfig, mf_train
 from .data import SPLIT_FRACTIONS, build_dataset, load_ratings, split_dataset
 from .errors import BpmfError, DataFormatError, UsageError
-from .mcmc import ChainTrace, desk_scale_config, mcmc_predict_batch, run_chain
+from .mcmc import ChainTrace, McmcConfig, mcmc_predict_batch, run_chain
 from .model import LatentState, ModelHyperparams, RatingDataset, denormalize_rating, row_dots
 from .vi import VariationalParams, ViConfig, vi_predict_batch, vi_train
 
 # the config each engine trains with when the experiment gives none
-DEFAULT_CONFIGS = {"mf": MfConfig, "mcmc": desk_scale_config, "vi": ViConfig}
+DEFAULT_CONFIGS = {"mf": MfConfig, "mcmc": McmcConfig, "vi": ViConfig}
 ENGINES = tuple(DEFAULT_CONFIGS)
 
 

@@ -3,18 +3,18 @@
 Two kernels, both with symmetric Gaussian random-walk proposals, so the
 proposal densities cancel in every acceptance ratio:
 
-- ``"joint"`` (the paper's kernel, and the ``McmcConfig`` default):
-  one proposal moves every entry of (U, V) at once and one
-  accept/reject decision keeps or drops it.
-- ``"rowwise"`` (row-blocked Metropolis-within-Gibbs): given V the user
-  rows are conditionally independent, and so are the item rows given U.
-  A sweep proposes every user row at once and accepts or rejects each
-  row with its own MH ratio, then does the same for the item rows given
-  the new U. Each ratio is exact: a per-row ``bincount`` of cached
-  per-rating squared residuals plus the row's prior term. This is the
-  kernel ``bpmf run`` and ``ExperimentConfig`` use by default
-  (:func:`desk_scale_config`), because one decision per step cannot
-  concentrate the ~10^5 coupled coordinates of a MovieLens-sized model.
+- ``"rowwise"`` (row-blocked Metropolis-within-Gibbs; the chain that
+  ``McmcConfig()`` and ``bpmf run`` train): given V the user rows are
+  conditionally independent, and so are the item rows given U. A sweep
+  proposes every user row at once and accepts or rejects each row with
+  its own exact MH ratio (a per-row ``bincount`` of cached per-rating
+  squared residuals plus the row's prior term), then does the same for
+  the item rows given the new U.
+- ``"joint"`` (the paper's kernel, ``McmcConfig(proposal="joint",
+  proposal_std=...)`` with a step chosen for the problem size): one
+  proposal moves every entry of (U, V) and one accept/reject decision
+  keeps or drops it, too few decisions to concentrate the ~10^5 coupled
+  coordinates of a MovieLens-sized model.
 
 Each step (a sweep, for ``"rowwise"``) records the exact log joint of
 the retained state. Samples are retained after burn-in with an optional
@@ -46,14 +46,24 @@ PROPOSALS = ("joint", "rowwise")
 
 @dataclass(frozen=True)
 class McmcConfig:
+    """Chain settings; the defaults are the chain ``bpmf run`` trains.
+
+    A ``burn_in`` left as None is 60% of the steps; a ``thin`` left as
+    None keeps about 100 samples, which bounds their memory.
+    """
+
     n_steps: int = 20_000
-    burn_in: int = 12_000
-    thin: int = 1
-    proposal_std: float = 0.004
+    burn_in: int | None = None
+    thin: int | None = None
+    proposal_std: float = 0.2
     seed: int = 0
-    proposal: str = "joint"
+    proposal: str = "rowwise"
 
     def __post_init__(self):
+        if self.burn_in is None:
+            object.__setattr__(self, "burn_in", int(0.6 * self.n_steps))
+        if self.thin is None:
+            object.__setattr__(self, "thin", max(1, (self.n_steps - self.burn_in) // 100))
         if self.proposal not in PROPOSALS:
             raise ValueError(f"proposal must be one of {PROPOSALS}, got {self.proposal!r}")
         if not 0 <= self.burn_in < self.n_steps:
@@ -64,21 +74,6 @@ class McmcConfig:
             raise ValueError("proposal_std must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-def desk_scale_config(n_steps=None, burn_in=None, thin=None, proposal_std=None,
-                      seed=0) -> McmcConfig:
-    """The chain ``bpmf run`` and ``ExperimentConfig`` train when not told otherwise.
-
-    The row-blocked kernel with step std 0.2; burn-in is 60% of the
-    steps, and the thinning stride keeps about 100 retained samples,
-    which bounds their memory.
-    """
-    n_steps = McmcConfig.n_steps if n_steps is None else n_steps
-    burn_in = int(0.6 * n_steps) if burn_in is None else burn_in
-    thin = max(1, (n_steps - burn_in) // 100) if thin is None else thin
-    return McmcConfig(n_steps=n_steps, burn_in=burn_in, thin=thin, proposal="rowwise",
-                      proposal_std=0.2 if proposal_std is None else proposal_std, seed=seed)
 
 
 @dataclass
@@ -230,42 +225,15 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig) -> Cha
 
 def mcmc_predict(trace: ChainTrace, i: int, j: int, scale: RatingScale) -> float:
     """Posterior-predictive mean rating for one (user, item) pair."""
-    if not trace.samples:
-        raise BpmfError("cannot predict from an empty chain trace")
-    vals = [sigmoid(float(s.u[i] @ s.v[j])) for s in trace.samples]
-    return float(denormalize_rating(float(np.mean(vals)), scale))
+    return float(mcmc_predict_batch(trace, np.array([i]), np.array([j]), scale)[0])
 
 
 def mcmc_predict_batch(trace: ChainTrace, user_idx, item_idx, scale: RatingScale):
-    """Vectorized :func:`mcmc_predict` over paired index arrays."""
+    """Posterior-predictive mean ratings for paired index arrays."""
     if not trace.samples:
         raise BpmfError("cannot predict from an empty chain trace")
-    user_idx = np.asarray(user_idx)
-    item_idx = np.asarray(item_idx)
     acc = np.zeros(user_idx.shape, dtype=np.float64)
     buffers = dot_buffers(user_idx.size, trace.samples[0].k)
     for s in trace.samples:
         acc += sigmoid(row_dots(s.u, s.v, user_idx, item_idx, buffers))
     return denormalize_rating(acc / len(trace.samples), scale)
-
-
-def discrete_mh_kernel(target: np.ndarray, proposal: np.ndarray) -> np.ndarray:
-    """Exact MH transition matrix for a finite-state target.
-
-    ``proposal[a, b]`` is q(b | a); the target need not be normalized.
-    Off-diagonal: T[a, b] = q(b|a) * min(1, (g_b q(a|b)) / (g_a q(b|a)));
-    the diagonal absorbs the rejection mass. Used to verify detailed
-    balance and stationarity in closed form.
-    """
-    target = np.asarray(target, dtype=np.float64)
-    proposal = np.asarray(proposal, dtype=np.float64)
-    n = target.size
-    kernel = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if a == b or proposal[a, b] == 0.0:
-                continue
-            ratio = (target[b] * proposal[b, a]) / (target[a] * proposal[a, b])
-            kernel[a, b] = proposal[a, b] * min(1.0, ratio)
-        kernel[a, a] = 1.0 - kernel[a].sum()
-    return kernel

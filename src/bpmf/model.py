@@ -72,17 +72,6 @@ class RatingDataset:
             if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate (user, item) pair in dataset")
 
-    @classmethod
-    def from_triples(cls, n_users, n_items, triples, scale):
-        """Build from an iterable of (user_idx, item_idx, normalized_rating)."""
-        triples = list(triples)
-        if triples:
-            ii, jj, rr = (np.asarray(col) for col in zip(*triples))
-        else:
-            ii = jj = np.zeros(0, dtype=np.int64)
-            rr = np.zeros(0)
-        return cls(n_users, n_items, ii, jj, rr, scale)
-
     @property
     def n_ratings(self) -> int:
         return int(self.rating.size)
@@ -100,9 +89,6 @@ class RatingDataset:
             (ones, (self.item_idx, arange)), shape=(self.n_items, self.n_ratings)
         )
         return by_user, by_item
-
-    def triples(self):
-        return list(zip(self.user_idx.tolist(), self.item_idx.tolist(), self.rating.tolist()))
 
 
 @dataclass
@@ -145,32 +131,13 @@ def sigmoid(x):
     return expit(x)
 
 
-def normalize_rating(r, scale: RatingScale) -> float:
-    """Map an original-scale rating onto [0, 1]."""
-    if r < scale.r_min or r > scale.r_max:
-        raise ValueError(
-            f"rating {r} outside the scale [{scale.r_min}, {scale.r_max}]"
-        )
-    return (r - scale.r_min) / scale.span
-
-
 def denormalize_rating(r_star, scale: RatingScale):
-    """Inverse of :func:`normalize_rating`; input must lie in [0, 1]."""
+    """Map a normalized rating back onto the original scale; input must lie in [0, 1]."""
     r_star = np.asarray(r_star, dtype=np.float64)
     if np.any(r_star < 0.0) or np.any(r_star > 1.0):
         raise ValueError("normalized rating outside [0, 1]")
     out = scale.span * r_star + scale.r_min
     return float(out) if out.ndim == 0 else out
-
-
-def log_likelihood_entry(u_i, v_j, r, sigma2) -> float:
-    """Log density of one normalized rating given its two latent rows."""
-    u_i = np.asarray(u_i, dtype=np.float64)
-    v_j = np.asarray(v_j, dtype=np.float64)
-    if u_i.shape != v_j.shape:
-        raise ValueError("u_i and v_j must have the same length")
-    mean = sigmoid(float(u_i @ v_j))
-    return float(-0.5 * np.log(2.0 * np.pi * sigma2) - (r - mean) ** 2 / (2.0 * sigma2))
 
 
 def dot_buffers(n: int, k: int):
@@ -239,16 +206,3 @@ def log_joint(state: LatentState, data: RatingDataset, hp: ModelHyperparams) -> 
         - (data.n_users + data.n_items) * (hp.k / 2.0) * LOG_2PI
     )
     return float(log_prior + log_likelihood_sum(state.u, state.v, data, hp.sigma2))
-
-
-def predict_point(u_i, v_j, scale: RatingScale) -> float:
-    """Point prediction on the original scale for one latent row pair.
-
-    The Gaussian predictive is centered at sigmoid(u.v), so its mode is
-    the mean and no search is needed.
-    """
-    u_i = np.asarray(u_i, dtype=np.float64)
-    v_j = np.asarray(v_j, dtype=np.float64)
-    if u_i.shape != v_j.shape:
-        raise ValueError("u_i and v_j must have the same length")
-    return float(denormalize_rating(sigmoid(float(u_i @ v_j)), scale))

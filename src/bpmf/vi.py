@@ -200,12 +200,9 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
 
 
 def vi_predict(params: VariationalParams, i: int, j: int, scale: RatingScale,
-               mc_samples: int = 0, rng=None) -> float:
-    """Predicted rating for one pair; mc_samples=0 is plug-in at the means."""
-    if mc_samples == 0:
-        return float(denormalize_rating(sigmoid(float(params.mu_u[i] @ params.mu_v[j])), scale))
-    if rng is None:
-        rng = np.random.default_rng(0)
+               mc_samples: int, rng) -> float:
+    """Predicted rating for one pair: the mean of sigmoid(u.v) over
+    ``mc_samples`` posterior draws from ``rng``."""
     u = params.mu_u[i] + np.exp(params.log_s_u[i]) * rng.standard_normal((mc_samples, params.k))
     v = params.mu_v[j] + np.exp(params.log_s_v[j]) * rng.standard_normal((mc_samples, params.k))
     return float(denormalize_rating(float(np.mean(sigmoid(np.einsum("sk,sk->s", u, v)))), scale))
@@ -214,8 +211,6 @@ def vi_predict(params: VariationalParams, i: int, j: int, scale: RatingScale,
 def vi_predict_batch(params: VariationalParams, user_idx, item_idx, scale: RatingScale):
     """Predicted ratings for paired index arrays: the mean of sigmoid(u.v)
     over ``PREDICT_SAMPLES`` posterior draws from ``default_rng(0)``."""
-    user_idx = np.asarray(user_idx)
-    item_idx = np.asarray(item_idx)
     rng = np.random.default_rng(0)
     acc = np.zeros(user_idx.shape, dtype=np.float64)
     mu_u, s_u = params.mu_u[user_idx], np.exp(params.log_s_u[user_idx])

@@ -1,4 +1,5 @@
-"""Shared fixtures: small in-memory datasets and the full-size ratings file.
+"""Shared fixtures: small in-memory datasets and the full-size ratings file,
+and the closed-form oracles that tests compare the engines against.
 
 The full-size fixture prefers a real MovieLens-small ``ratings.csv`` if
 the BPMF_MOVIELENS_CSV environment variable points at one; otherwise it
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from bpmf.data import build_dataset, load_ratings
-from bpmf.model import RatingDataset, RatingScale
+from bpmf.model import RatingDataset, RatingScale, denormalize_rating, sigmoid
 from bpmf.synthetic import write_ratings_csv
 
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".cache"
@@ -91,3 +92,48 @@ def empty_dataset():
         rating=np.array([]),
         scale=RatingScale(5),
     )
+
+
+def log_likelihood_entry(u_i, v_j, r, sigma2) -> float:
+    """Log density of one normalized rating given its two latent rows."""
+    u_i = np.asarray(u_i, dtype=np.float64)
+    v_j = np.asarray(v_j, dtype=np.float64)
+    if u_i.shape != v_j.shape:
+        raise ValueError("u_i and v_j must have the same length")
+    mean = sigmoid(float(u_i @ v_j))
+    return float(-0.5 * np.log(2.0 * np.pi * sigma2) - (r - mean) ** 2 / (2.0 * sigma2))
+
+
+def predict_point(u_i, v_j, scale: RatingScale) -> float:
+    """Point prediction on the original scale for one latent row pair.
+
+    The Gaussian predictive is centered at sigmoid(u.v), so its mode is
+    the mean and no search is needed.
+    """
+    u_i = np.asarray(u_i, dtype=np.float64)
+    v_j = np.asarray(v_j, dtype=np.float64)
+    if u_i.shape != v_j.shape:
+        raise ValueError("u_i and v_j must have the same length")
+    return float(denormalize_rating(sigmoid(float(u_i @ v_j)), scale))
+
+
+def discrete_mh_kernel(target: np.ndarray, proposal: np.ndarray) -> np.ndarray:
+    """Exact MH transition matrix for a finite-state target.
+
+    ``proposal[a, b]`` is q(b | a); the target need not be normalized.
+    Off-diagonal: T[a, b] = q(b|a) * min(1, (g_b q(a|b)) / (g_a q(b|a)));
+    the diagonal absorbs the rejection mass. Used to verify detailed
+    balance and stationarity in closed form.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    proposal = np.asarray(proposal, dtype=np.float64)
+    n = target.size
+    kernel = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            if a == b or proposal[a, b] == 0.0:
+                continue
+            ratio = (target[b] * proposal[b, a]) / (target[a] * proposal[a, b])
+            kernel[a, b] = proposal[a, b] * min(1.0, ratio)
+        kernel[a, a] = 1.0 - kernel[a].sum()
+    return kernel

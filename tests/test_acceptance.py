@@ -23,7 +23,7 @@ from bpmf.evaluate import (
     rmse,
     run_experiment,
 )
-from bpmf.mcmc import McmcConfig, discrete_mh_kernel, mcmc_predict, run_chain
+from bpmf.mcmc import McmcConfig, mcmc_predict, run_chain
 from bpmf.model import (
     LatentState,
     ModelHyperparams,
@@ -42,7 +42,7 @@ from bpmf.vi import (
     vi_train,
 )
 
-from conftest import make_dataset
+from conftest import discrete_mh_kernel, make_dataset
 
 
 def report_line(number, ok, detail):
@@ -138,7 +138,7 @@ def mcmc_report(ratings_csv_path, tmp_path_factory):
 @pytest.fixture(scope="module")
 def constant_predictor_rmse(full_dataset):
     data, _, scale = full_dataset
-    split = split_dataset(data, (0.6, 0.2, 0.2), seed=0)
+    split = split_dataset(data, seed=0)
     fallback = global_mean_rating(split.train)
     truths = denormalize_rating(split.test.rating, scale)
     return rmse(np.full(truths.shape, fallback), truths)
@@ -154,7 +154,8 @@ def test_criterion_1_mcmc_oracle_equivalence():
     oracle_rating = denormalize_rating(oracle_mean, data.scale)
 
     start = time.perf_counter()
-    cfg = McmcConfig(n_steps=50_000, burn_in=10_000, thin=10, proposal_std=0.5, seed=0)
+    cfg = McmcConfig(n_steps=50_000, burn_in=10_000, thin=10, proposal_std=0.5, seed=0,
+                     proposal="joint")
     trace = run_chain(data, hp, cfg)
     prediction = mcmc_predict(trace, 0, 0, data.scale)
     elapsed = time.perf_counter() - start
@@ -372,7 +373,8 @@ def test_criterion_9_prior_sampling_sanity():
         scale=RatingScale(5),
     )
     hp = ModelHyperparams(3, 1.0)
-    cfg = McmcConfig(n_steps=30_000, burn_in=5_000, thin=10, proposal_std=0.6, seed=0)
+    cfg = McmcConfig(n_steps=30_000, burn_in=5_000, thin=10, proposal_std=0.6, seed=0,
+                     proposal="joint")
     trace = run_chain(empty, hp, cfg)
     series = np.stack(
         [np.concatenate([s.u.ravel(), s.v.ravel()]) for s in trace.samples]
@@ -416,7 +418,7 @@ def test_criterion_10_data_pipeline(full_dataset):
     sizes_ok = True
     partition_ok = True
     for seed in range(100):
-        split = split_dataset(ten, (0.6, 0.2, 0.2), seed=seed)
+        split = split_dataset(ten, seed=seed)
         sizes = (split.train.n_ratings, split.validation.n_ratings,
                  split.test.n_ratings)
         sizes_ok = sizes_ok and sizes == (6, 2, 2)

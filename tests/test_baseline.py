@@ -10,42 +10,42 @@ from bpmf.model import LatentState, ModelHyperparams, RatingDataset, RatingScale
 from conftest import make_dataset
 
 
-def _dataset(n, m, triples):
-    return RatingDataset.from_triples(n, m, triples, RatingScale(5))
+def _dataset(n, m, user_idx, item_idx, rating):
+    return RatingDataset(n, m, user_idx, item_idx, rating, RatingScale(5))
 
 
 class TestMfLoss:
     def test_empty_observations(self):
-        data = _dataset(2, 2, [])
+        data = _dataset(2, 2, [], [], [])
         state = LatentState(np.ones((2, 1)), np.ones((2, 1)))
         assert mf_loss(state, data) == 0.0
 
     def test_single_zero_factor(self):
-        data = _dataset(1, 1, [(0, 0, 0.5)])
+        data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.zeros((1, 1)), np.zeros((1, 1)))
         assert mf_loss(state, data) == 0.25
 
     def test_exact_fit(self):
-        data = _dataset(1, 1, [(0, 0, 0.5)])
+        data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.array([[1.0]]), np.array([[0.5]]))
         assert mf_loss(state, data) == 0.0
 
     def test_shape_mismatch(self):
-        data = _dataset(2, 2, [])
+        data = _dataset(2, 2, [], [], [])
         with pytest.raises(ValueError):
             mf_loss(LatentState(np.ones((3, 1)), np.ones((2, 1))), data)
 
 
 class TestMfEpoch:
     def test_empty_observations_no_change(self):
-        data = _dataset(2, 2, [])
+        data = _dataset(2, 2, [], [], [])
         state = LatentState(np.ones((2, 2)), np.ones((2, 2)))
         new = mf_epoch(state, data, MfConfig(alpha=0.1))
         np.testing.assert_array_equal(new.u, state.u)
         np.testing.assert_array_equal(new.v, state.v)
 
     def test_fixed_point_at_exact_fit(self):
-        data = _dataset(1, 1, [(0, 0, 1.0)])
+        data = _dataset(1, 1, [0], [0], [1.0])
         state = LatentState(np.array([[1.0]]), np.array([[1.0]]))
         new = mf_epoch(state, data, MfConfig(alpha=0.1))
         assert new.u[0, 0] == 1.0
@@ -53,7 +53,7 @@ class TestMfEpoch:
 
     def test_hand_computed_update(self):
         # v=0 kills the u-gradient; v then moves using the unchanged u
-        data = _dataset(1, 1, [(0, 0, 0.5)])
+        data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.array([[1.0]]), np.array([[0.0]]))
         new = mf_epoch(state, data, MfConfig(alpha=0.1))
         assert new.u[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -113,8 +113,7 @@ class TestMfTrain:
     def test_rank_one_matrix_is_learned(self):
         a = np.array([0.9, 0.4])
         b = np.array([0.8, 0.3])
-        triples = [(i, j, float(a[i] * b[j])) for i in range(2) for j in range(2)]
-        data = _dataset(2, 2, triples)
+        data = _dataset(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], np.outer(a, b).ravel())
         _, trace = mf_train(data, ModelHyperparams(1, 0.25),
                             MfConfig(alpha=0.05, epochs=500, seed=1))
         assert trace[-1] < 1e-3

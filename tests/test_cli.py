@@ -241,3 +241,13 @@ def test_any_argv_exits_with_a_documented_code(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) in (0, 1, 2)
     assert not any(tmp_path.iterdir())
+
+
+# inputs the fuzz test above finds only by chance
+@pytest.mark.parametrize("argv", [["compare", "\ud800"], ["compare", "a\x00b", "x"],
+                                  ["run", "--engine", "vi", "--data", "\ud800", "--out", "o"]])
+def test_path_the_os_cannot_take_is_runtime_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2 and not any(tmp_path.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("bpmf: ") and err.count("\n") == 1

@@ -63,13 +63,9 @@ class TestPredictAll:
     @staticmethod
     def _train_and_eval():
         scale = RatingScale(5)
-        train = RatingDataset.from_triples(
-            2, 2, [(0, 0, 0.5), (1, 0, 0.25)], scale
-        )
+        train = RatingDataset(2, 2, [0, 1], [0, 0], [0.5, 0.25], scale)
         # user 1 appears in training but item 1 never does
-        eval_set = RatingDataset.from_triples(
-            2, 2, [(0, 0, 0.75), (1, 1, 0.5)], scale
-        )
+        eval_set = RatingDataset(2, 2, [0, 1], [0, 1], [0.75, 0.5], scale)
         return train, eval_set
 
     def test_warm_prediction_uses_engine(self):
@@ -88,10 +84,8 @@ class TestPredictAll:
 
     def test_all_cold_equals_constant_predictor(self):
         scale = RatingScale(5)
-        train = RatingDataset.from_triples(3, 3, [(0, 0, 0.5)], scale)
-        eval_set = RatingDataset.from_triples(
-            3, 3, [(1, 1, 0.0), (2, 2, 1.0)], scale
-        )
+        train = RatingDataset(3, 3, [0], [0], [0.5], scale)
+        eval_set = RatingDataset(3, 3, [1, 2], [1, 2], [0.0, 1.0], scale)
         state = LatentState(np.ones((3, 1)), np.ones((3, 1)))
         fallback = global_mean_rating(train)
         preds, cold = predict_all(state, eval_set, train)

@@ -11,8 +11,6 @@ from bpmf.mcmc import (
     McmcConfig,
     RowwiseCache,
     acceptance_ratio,
-    desk_scale_config,
-    discrete_mh_kernel,
     mcmc_predict,
     mh_step,
     row_log_ratios,
@@ -29,7 +27,7 @@ from bpmf.model import (
     rating_residuals,
 )
 
-from conftest import make_dataset
+from conftest import discrete_mh_kernel, make_dataset, predict_point
 from test_acceptance import quadrature_1x1
 
 
@@ -105,7 +103,7 @@ class TestDiscreteKernel:
 class TestMhStep:
     def test_near_zero_proposal_always_accepts(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
-        cfg = McmcConfig(n_steps=10, burn_in=0, proposal_std=1e-12)
+        cfg = joint(n_steps=10, burn_in=0, proposal_std=1e-12)
         state = LatentState(np.array([[0.3]]), np.array([[0.2]]))
         accepted = [
             mh_step(state, tiny_dataset, hp, cfg, np.random.default_rng(s))[1]
@@ -125,7 +123,7 @@ class TestMhStep:
                 return 0.0
 
         hp = ModelHyperparams(1, 0.1)
-        cfg = McmcConfig(n_steps=10, burn_in=0, proposal_std=5.0)
+        cfg = joint(n_steps=10, burn_in=0, proposal_std=5.0)
         state = LatentState(np.array([[0.0]]), np.array([[0.0]]))
         new, accepted, _ = mh_step(state, tiny_dataset, hp, cfg, ForcedRng())
         assert accepted
@@ -133,7 +131,7 @@ class TestMhStep:
 
     def test_rejected_step_repeats_state_exactly(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
-        cfg = McmcConfig(n_steps=2000, burn_in=0, proposal_std=3.0)
+        cfg = joint(n_steps=2000, burn_in=0, proposal_std=3.0)
         rng = np.random.default_rng(4)
         state = LatentState(np.array([[0.1]]), np.array([[0.1]]))
         saw_rejection = False
@@ -147,7 +145,7 @@ class TestMhStep:
 
     def test_moderate_acceptance_rate(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
-        cfg = McmcConfig(n_steps=10_000, burn_in=0, proposal_std=0.5, seed=0)
+        cfg = joint(n_steps=10_000, burn_in=0, proposal_std=0.5, seed=0)
         trace = run_chain(tiny_dataset, hp, cfg)
         assert 0.05 < trace.acceptance_rate < 0.95
 
@@ -155,14 +153,14 @@ class TestMhStep:
 class TestRunChain:
     def test_retained_sample_count(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
-        cfg = McmcConfig(n_steps=10, burn_in=5, thin=5, proposal_std=0.5)
+        cfg = joint(n_steps=10, burn_in=5, thin=5, proposal_std=0.5)
         trace = run_chain(tiny_dataset, hp, cfg)
         assert len(trace.samples) == 1
         assert trace.step_count == 10
 
     def test_deterministic_energies(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
-        cfg = McmcConfig(n_steps=200, burn_in=100, proposal_std=0.5, seed=3)
+        cfg = joint(n_steps=200, burn_in=100, proposal_std=0.5, seed=3)
         a = run_chain(tiny_dataset, hp, cfg)
         b = run_chain(tiny_dataset, hp, cfg)
         np.testing.assert_array_equal(a.energies, b.energies)
@@ -190,16 +188,14 @@ class TestRunChain:
 
     def test_energies_always_finite(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
-        cfg = McmcConfig(n_steps=3000, burn_in=0, proposal_std=1.0, seed=5)
+        cfg = joint(n_steps=3000, burn_in=0, proposal_std=1.0, seed=5)
         trace = run_chain(tiny_dataset, hp, cfg)
         assert np.isfinite(trace.energies).all()
 
     def test_prior_chain_moments(self, empty_dataset):
         # with no observations the posterior is the standard-normal prior
         hp = ModelHyperparams(3, 1.0)
-        cfg = McmcConfig(
-            n_steps=30_000, burn_in=5_000, thin=10, proposal_std=0.6, seed=0
-        )
+        cfg = joint(n_steps=30_000, burn_in=5_000, thin=10, proposal_std=0.6, seed=0)
         trace = run_chain(empty_dataset, hp, cfg)
         series = np.stack(
             [np.concatenate([s.u.ravel(), s.v.ravel()]) for s in trace.samples]
@@ -228,6 +224,10 @@ class RecordingRng:
     def uniform(self, size=None):
         self.uniforms.append(self.inner.uniform(size=size))
         return self.uniforms[-1]
+
+
+def joint(**kw):
+    return McmcConfig(proposal="joint", **kw)
 
 
 def rowwise(**kw):
@@ -299,7 +299,7 @@ class TestRowwiseKernel:
     def test_energies_are_log_joint_of_retained_states(self):
         data = make_dataset(6, 7, 20, seed=2)
         hp = ModelHyperparams(2, 0.25)
-        trace = run_chain(data, hp, rowwise(n_steps=2000, burn_in=0, proposal_std=0.5))
+        trace = run_chain(data, hp, rowwise(n_steps=2000, burn_in=0, thin=1, proposal_std=0.5))
         exact = [log_joint(s, data, hp) for s in trace.samples]
         np.testing.assert_allclose(trace.energies, exact, rtol=0, atol=1e-9)
 
@@ -349,8 +349,6 @@ class TestMcmcPredict:
         trace = ChainTrace(
             samples=[state], energies=np.zeros(1), accepted=np.ones(1, dtype=bool)
         )
-        from bpmf.model import predict_point
-
         expected = predict_point(state.u[0], state.v[0], tiny_dataset.scale)
         assert mcmc_predict(trace, 0, 0, tiny_dataset.scale) == pytest.approx(expected)
 
@@ -393,11 +391,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McmcConfig(n_steps=10, burn_in=0, seed=-1)
 
-    def test_library_default_is_the_joint_kernel(self):
-        cfg = McmcConfig()
-        assert (cfg.proposal, cfg.proposal_std) == ("joint", 0.004)
-
     def test_desk_scale_default(self):
-        cfg = desk_scale_config()
+        cfg = McmcConfig()
         assert (cfg.proposal, cfg.proposal_std) == ("rowwise", 0.2)
         assert (cfg.n_steps, cfg.burn_in, cfg.thin) == (20_000, 12_000, 80)
+        # a given burn-in sets the stride; a given stride leaves burn-in at 60%
+        assert McmcConfig(n_steps=1000, burn_in=0).thin == 10
+        assert McmcConfig(n_steps=1000, thin=3).burn_in == 600

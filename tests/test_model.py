@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpmf.data import build_dataset
 from bpmf.model import (
     LatentState,
     ModelHyperparams,
@@ -14,12 +15,11 @@ from bpmf.model import (
     RatingScale,
     denormalize_rating,
     log_joint,
-    log_likelihood_entry,
-    normalize_rating,
-    predict_point,
     row_dots,
     sigmoid,
 )
+
+from conftest import log_likelihood_entry, predict_point
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -53,12 +53,6 @@ class TestRatingDataset:
         with pytest.raises(ValueError):
             RatingDataset(1, 1, [0], [0], [1.5], RatingScale(5))
 
-    def test_from_triples_round_trip(self):
-        triples = [(0, 1, 0.25), (1, 0, 1.0)]
-        data = RatingDataset.from_triples(2, 2, triples, RatingScale(5))
-        assert data.triples() == triples
-        assert data.n_ratings == 2
-
 
 class TestSigmoid:
     def test_zero(self):
@@ -80,12 +74,15 @@ class TestSigmoid:
         assert np.all(np.diff(sigmoid(xs)) > 0)
 
 
+def normalized(ratings, scale):
+    """The [0, 1] values ``build_dataset`` stores for original-scale ratings."""
+    n = len(ratings)
+    return build_dataset((np.arange(n), np.zeros(n), ratings), scale)[0].rating
+
+
 class TestNormalization:
     def test_endpoints(self):
-        scale = RatingScale(5)
-        assert normalize_rating(1, scale) == 0.0
-        assert normalize_rating(5, scale) == 1.0
-        assert normalize_rating(3, scale) == 0.5
+        np.testing.assert_array_equal(normalized([1, 5, 3], RatingScale(5)), [0.0, 1.0, 0.5])
 
     def test_denormalize(self):
         scale = RatingScale(5)
@@ -95,22 +92,22 @@ class TestNormalization:
     def test_out_of_range_errors(self):
         scale = RatingScale(5)
         with pytest.raises(ValueError):
-            normalize_rating(0.2, scale)
+            normalized([0.2], scale)
         with pytest.raises(ValueError):
             denormalize_rating(1.2, scale)
 
     @pytest.mark.parametrize("r_max", range(2, 11))
     def test_round_trip_integer_scales(self, r_max):
         scale = RatingScale(r_max)
-        for r in range(1, r_max + 1):
-            assert denormalize_rating(normalize_rating(r, scale), scale) == r
+        ratings = np.arange(1, r_max + 1)
+        np.testing.assert_array_equal(denormalize_rating(normalized(ratings, scale), scale),
+                                      ratings)
 
     def test_round_trip_half_star_scale(self):
         scale = RatingScale(5, r_min=0.5)
-        for r in np.arange(0.5, 5.01, 0.5):
-            assert denormalize_rating(normalize_rating(r, scale), scale) == pytest.approx(
-                r, abs=1e-12
-            )
+        ratings = np.arange(0.5, 5.01, 0.5)
+        np.testing.assert_allclose(denormalize_rating(normalized(ratings, scale), scale),
+                                   ratings, rtol=0, atol=1e-12)
 
 
 class TestLogLikelihoodEntry:
@@ -134,13 +131,13 @@ class TestLogLikelihoodEntry:
 
 class TestLogJoint:
     def test_prior_only_origin(self, ):
-        data = RatingDataset.from_triples(1, 1, [], RatingScale(5))
+        data = RatingDataset(1, 1, [], [], [], RatingScale(5))
         state = LatentState(np.zeros((1, 1)), np.zeros((1, 1)))
         val = log_joint(state, data, ModelHyperparams(1, 1.0))
         assert val == pytest.approx(-LOG_2PI, abs=1e-12)
 
     def test_one_observation_zero_residual(self):
-        data = RatingDataset.from_triples(1, 1, [(0, 0, 0.5)], RatingScale(5))
+        data = RatingDataset(1, 1, [0], [0], [0.5], RatingScale(5))
         state = LatentState(np.zeros((1, 1)), np.zeros((1, 1)))
         val = log_joint(state, data, ModelHyperparams(1, 1.0))
         assert val == pytest.approx(-LOG_2PI - 0.5 * LOG_2PI, abs=1e-12)
@@ -149,12 +146,12 @@ class TestLogJoint:
         hp = ModelHyperparams(1, 1.0)
         one = log_joint(
             LatentState(np.zeros((1, 1)), np.zeros((1, 1))),
-            RatingDataset.from_triples(1, 1, [], RatingScale(5)),
+            RatingDataset(1, 1, [], [], [], RatingScale(5)),
             hp,
         )
         two = log_joint(
             LatentState(np.zeros((2, 1)), np.zeros((2, 1))),
-            RatingDataset.from_triples(2, 2, [], RatingScale(5)),
+            RatingDataset(2, 2, [], [], [], RatingScale(5)),
             hp,
         )
         assert two == pytest.approx(2 * one, abs=1e-12)
@@ -165,8 +162,8 @@ class TestLogJoint:
         flat = rng.choice(n * m, size=n_obs, replace=False)
         triples = [(int(f // m), int(f % m), float(r))
                    for f, r in zip(flat, rng.uniform(0, 1, n_obs))]
-        data = RatingDataset.from_triples(n, m, triples, RatingScale(5))
-        empty = RatingDataset.from_triples(n, m, [], RatingScale(5))
+        data = RatingDataset(n, m, *zip(*triples), RatingScale(5))
+        empty = RatingDataset(n, m, [], [], [], RatingScale(5))
         state = LatentState(rng.normal(size=(n, k)), rng.normal(size=(m, k)))
         hp = ModelHyperparams(k, 0.25)
         expected = log_joint(state, empty, hp) + sum(
@@ -176,7 +173,7 @@ class TestLogJoint:
         assert log_joint(state, data, hp) == pytest.approx(expected, abs=1e-9)
 
     def test_prior_peaks_at_origin(self):
-        data = RatingDataset.from_triples(2, 2, [], RatingScale(5))
+        data = RatingDataset(2, 2, [], [], [], RatingScale(5))
         hp = ModelHyperparams(2, 1.0)
         base = log_joint(LatentState(np.zeros((2, 2)), np.zeros((2, 2))), data, hp)
         for row, col in [(0, 0), (1, 1)]:
@@ -185,7 +182,7 @@ class TestLogJoint:
             assert log_joint(LatentState(u, np.zeros((2, 2))), data, hp) < base
 
     def test_dimension_mismatch(self):
-        data = RatingDataset.from_triples(2, 2, [], RatingScale(5))
+        data = RatingDataset(2, 2, [], [], [], RatingScale(5))
         state = LatentState(np.zeros((3, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             log_joint(state, data, ModelHyperparams(1, 1.0))

@@ -20,7 +20,7 @@ from bpmf.vi import (
     vi_train,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, predict_point
 
 
 def random_params(n, m, k, rng, mu_scale=0.5, log_s_scale=0.5):
@@ -188,19 +188,13 @@ class TestViTrain:
 
 
 class TestViPredict:
-    def test_plug_in_midpoint(self):
-        params = VariationalParams(
-            np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2))
-        )
-        assert vi_predict(params, 0, 0, RatingScale(5), mc_samples=0) == 3.0
-
     def test_small_sigma_mc_approaches_plug_in(self):
         rng = np.random.default_rng(0)
         params = VariationalParams(
             rng.normal(0, 1, (1, 3)), np.full((1, 3), -8.0),
             rng.normal(0, 1, (1, 3)), np.full((1, 3), -8.0),
         )
-        plug_in = vi_predict(params, 0, 0, RatingScale(5), mc_samples=0)
+        plug_in = predict_point(params.mu_u[0], params.mu_v[0], RatingScale(5))
         mc = vi_predict(params, 0, 0, RatingScale(5), mc_samples=500,
                         rng=np.random.default_rng(1))
         assert mc == pytest.approx(plug_in, abs=1e-3)
