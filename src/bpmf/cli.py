@@ -113,10 +113,11 @@ def _cmd_compare(args) -> int:
                 # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
                 raise UsageError(f"{path}: not a bpmf report: {exc}") from None
     text, csv_text = compare(reports)
-    print(text)
+    # the CSV is written first, so a path that fails leaves no partial output
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(csv_text)
+    print(text)
     return 0
 
 

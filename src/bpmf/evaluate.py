@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 from .baseline import MfConfig, mf_train
 from .data import SPLIT_FRACTIONS, build_dataset, load_ratings, split_dataset
 from .errors import BpmfError, DataFormatError, UsageError
-from .mcmc import ChainTrace, McmcConfig, mcmc_predict_batch, run_chain
+from .mcmc import McmcConfig, PosteriorMean, run_chain
 from .model import LatentState, ModelHyperparams, RatingDataset, denormalize_rating, row_dots
 from .vi import VariationalParams, ViConfig, vi_predict_batch, vi_train
 
@@ -62,6 +63,9 @@ class ExperimentReport:
     n_val: int
     n_test: int
     cold_start_count: int
+    # reports written before these fields existed load with the defaults
+    timings: dict = field(default_factory=dict)
+    peak_rss_mb: float | None = None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -71,17 +75,23 @@ class ExperimentReport:
         """Rebuild a report from ``to_dict`` output; DataFormatError if malformed."""
         if not isinstance(payload, dict):
             raise DataFormatError(f"expected a JSON object, got {type(payload).__name__}")
-        names = [f.name for f in dataclasses.fields(cls)]
-        missing = [name for name in names if name not in payload]
+        fields = dataclasses.fields(cls)
+        names = [f.name for f in fields]
+        missing = [f.name for f in fields if f.name not in payload
+                   and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING]
         unknown = sorted(set(payload) - set(names))
         if missing or unknown:
             raise DataFormatError(f"missing fields {missing}, unknown fields {unknown}")
-        for name in names:
-            value = payload[name]
+        for name, value in payload.items():
             if name == "config":
                 ok = isinstance(value, dict)
             elif name == "loss_trace":
                 ok = isinstance(value, list) and all(_is_number(x) for x in value)
+            elif name == "timings":
+                ok = isinstance(value, dict) and all(_is_number(x) for x in value.values())
+            elif name == "peak_rss_mb":
+                ok = value is None or _is_number(value)
             else:
                 ok = _is_number(value)
             if not ok:
@@ -108,24 +118,24 @@ def global_mean_rating(train: RatingDataset) -> float:
 
 
 def predict_all(engine_result, eval_data: RatingDataset, train_data: RatingDataset,
-                fallback: float | None = None):
+                fallback: float):
     """Batch predictions for an eval set; returns (predictions, cold_count).
 
     Any user or item with zero training ratings gets the fallback value
-    (training global mean unless overridden). The engine result type
-    selects the predictor: LatentState (baseline, dot product clipped to
-    the valid range), ChainTrace (posterior sample mean), or
-    VariationalParams (MC mean over the fitted posterior, fixed seed).
+    (``run_experiment`` passes the training global mean). The engine
+    result type selects the predictor: LatentState (baseline, dot
+    product clipped to the valid range), PosteriorMean (MCMC posterior
+    sample mean, streamed over this eval set's pairs while the chain
+    ran), or VariationalParams (MC mean over the fitted posterior,
+    fixed seed).
     """
-    if fallback is None:
-        fallback = global_mean_rating(train_data)
     ii, jj = eval_data.user_idx, eval_data.item_idx
 
     if isinstance(engine_result, LatentState):
         dots = row_dots(engine_result.u, engine_result.v, ii, jj)
         preds = denormalize_rating(np.clip(dots, 0.0, 1.0), eval_data.scale)
-    elif isinstance(engine_result, ChainTrace):
-        preds = mcmc_predict_batch(engine_result, ii, jj, eval_data.scale)
+    elif isinstance(engine_result, PosteriorMean):
+        preds = engine_result.ratings(eval_data.scale)
     elif isinstance(engine_result, VariationalParams):
         preds = vi_predict_batch(engine_result, ii, jj, eval_data.scale)
     else:
@@ -143,28 +153,70 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Load, split, train the selected engine, score, and write artifacts.
 
     Writes ``report.json`` and ``trace.csv`` into the output directory.
-    The wall clock covers training only.
+    ``timings`` holds the seconds spent in each phase: load, build,
+    split, train, predict (scoring included) and write. The wall
+    clock, ``timings["train"]``, covers training only: the MCMC engine
+    adds each retained sample's predictions for the validation and test
+    pairs to two running means as the chain runs, keeping no samples,
+    and that time counts under ``predict``.
     """
-    raw, scale = load_ratings(cfg.data_path)
-    data, maps = build_dataset(raw, scale)
-    split = split_dataset(data, seed=cfg.split_seed, maps=maps)
     engine_cfg = cfg.resolved_engine_config()
     hp = ModelHyperparams(k=cfg.k, sigma2=cfg.sigma2)
+    timings = {}
+    last = time.perf_counter()
 
-    start = time.perf_counter()
+    def lap(phase):
+        nonlocal last
+        now = time.perf_counter()
+        timings[phase] = now - last
+        last = now
+
+    raw, scale = load_ratings(cfg.data_path)
+    lap("load")
+    data, maps = build_dataset(raw, scale)
+    lap("build")
+    split = split_dataset(data, seed=cfg.split_seed, maps=maps)
+    lap("split")
+
+    streamed = 0.0
     if cfg.engine == "mcmc":
-        result = run_chain(split.train, hp, engine_cfg)
-        trace = result.energies.tolist()
+        means = [PosteriorMean(part.user_idx, part.item_idx)
+                 for part in (split.validation, split.test)]
+
+        def on_sample(state):
+            nonlocal streamed
+            start = time.perf_counter()
+            for mean in means:
+                mean.add(state)
+            streamed += time.perf_counter() - start
+
+        trace = run_chain(split.train, hp, engine_cfg, on_sample=on_sample).energies.tolist()
+        result_val, result_test = means
     else:
         train = mf_train if cfg.engine == "mf" else vi_train
-        result, trace = train(split.train, hp, engine_cfg)
-    wall_clock = time.perf_counter() - start
+        result_val, trace = train(split.train, hp, engine_cfg)
+        result_test = result_val
+    lap("train")
+    timings["train"] -= streamed
 
     fallback = global_mean_rating(split.train)
     truths_val = denormalize_rating(split.validation.rating, scale)
     truths_test = denormalize_rating(split.test.rating, scale)
-    preds_val, cold_val = predict_all(result, split.validation, split.train, fallback)
-    preds_test, cold_test = predict_all(result, split.test, split.train, fallback)
+    preds_val, cold_val = predict_all(result_val, split.validation, split.train, fallback)
+    preds_test, cold_test = predict_all(result_test, split.test, split.train, fallback)
+    rmse_val, rmse_test = rmse(preds_val, truths_val), rmse(preds_test, truths_test)
+    loss_trace = [float(x) for x in trace]
+    lap("predict")
+    timings["predict"] += streamed
+
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "trace.csv", "w", newline="") as fh:
+        fh.write("epoch,value\n")
+        for epoch, value in enumerate(loss_trace):
+            fh.write(f"{epoch},{value!r}\n")
+    # report.json is written last, so its own write is not in "write"
+    lap("write")
 
     report = ExperimentReport(
         config={
@@ -176,24 +228,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "split_seed": cfg.split_seed,
             "engine_config": dataclasses.asdict(engine_cfg),
         },
-        rmse_validation=rmse(preds_val, truths_val),
-        rmse_test=rmse(preds_test, truths_test),
-        loss_trace=[float(x) for x in trace],
-        wall_clock_seconds=wall_clock,
+        rmse_validation=rmse_val,
+        rmse_test=rmse_test,
+        loss_trace=loss_trace,
+        wall_clock_seconds=timings["train"],
         n_train=split.train.n_ratings,
         n_val=split.validation.n_ratings,
         n_test=split.test.n_ratings,
         cold_start_count=cold_val + cold_test,
+        timings=timings,
+        # ru_maxrss is in kilobytes on Linux
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     )
-
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
-    with open(out / "trace.csv", "w", newline="") as fh:
-        fh.write("epoch,value\n")
-        for epoch, value in enumerate(report.loss_trace):
-            fh.write(f"{epoch},{value!r}\n")
     return report
 
 

@@ -18,7 +18,9 @@ proposal densities cancel in every acceptance ratio:
 
 Each step (a sweep, for ``"rowwise"``) records the exact log joint of
 the retained state. Samples are retained after burn-in with an optional
-thinning stride; predictions average sigmoid(u.v) over retained samples.
+thinning stride; predictions average sigmoid(u.v) over retained samples,
+either from a trace that kept them or streamed into a
+:class:`PosteriorMean` as the chain runs.
 """
 
 from __future__ import annotations
@@ -79,6 +81,9 @@ class McmcConfig:
 @dataclass
 class ChainTrace:
     """Post-burn-in thinned samples plus per-step bookkeeping.
+
+    ``samples`` is empty when the chain passed each retained state to an
+    ``on_sample`` callable instead of keeping it.
 
     ``accepted`` holds one entry per step: a bool for the joint kernel,
     the fraction of row proposals accepted in that sweep for the
@@ -194,10 +199,15 @@ def rowwise_sweep(state: LatentState, data: RatingDataset, hp: ModelHyperparams,
     return (n_u + n_v) / (data.n_users + data.n_items), log_g_current + d_u + d_v
 
 
-def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig) -> ChainTrace:
+def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
+              on_sample=None) -> ChainTrace:
     """Run the full chain; deterministic for a given seed (PCG64).
 
     Retains the states at steps burn_in, burn_in + thin, ... (0-based).
+    With ``on_sample`` given, each retained state is passed to it, in
+    retention order, instead of being copied into ``samples``: the state
+    is the chain's own, valid only during the call, and must not be
+    modified. The chain itself is the same either way.
     """
     rng = np.random.default_rng(cfg.seed)
     # the chain starts from a draw of the standard-normal prior
@@ -219,8 +229,39 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig) -> Cha
         energies.append(log_g)
         accepted.append(acc)
         if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
-            samples.append(state.copy())
+            if on_sample is None:
+                samples.append(state.copy())
+            else:
+                on_sample(state)
     return ChainTrace(samples=samples, energies=np.array(energies), accepted=np.array(accepted))
+
+
+class PosteriorMean:
+    """Running posterior-predictive mean of sigmoid(u.v) for fixed pairs.
+
+    ``add`` takes one posterior sample; ``ratings`` is the mean over the
+    samples added so far, on the original rating scale. Summing in the
+    order samples are added makes a streamed mean equal, bit for bit, to
+    one taken over a stored trace in the same order.
+    """
+
+    def __init__(self, user_idx, item_idx):
+        self.user_idx, self.item_idx = user_idx, item_idx
+        self.total = np.zeros(user_idx.shape, dtype=np.float64)
+        self.count = 0
+        self._buffers = None
+
+    def add(self, state: LatentState):
+        if self._buffers is None:
+            self._buffers = dot_buffers(self.user_idx.size, state.k)
+        self.total += sigmoid(row_dots(state.u, state.v, self.user_idx, self.item_idx,
+                                       self._buffers))
+        self.count += 1
+
+    def ratings(self, scale: RatingScale):
+        if not self.count:
+            raise BpmfError("cannot predict from zero posterior samples")
+        return denormalize_rating(self.total / self.count, scale)
 
 
 def mcmc_predict(trace: ChainTrace, i: int, j: int, scale: RatingScale) -> float:
@@ -230,10 +271,7 @@ def mcmc_predict(trace: ChainTrace, i: int, j: int, scale: RatingScale) -> float
 
 def mcmc_predict_batch(trace: ChainTrace, user_idx, item_idx, scale: RatingScale):
     """Posterior-predictive mean ratings for paired index arrays."""
-    if not trace.samples:
-        raise BpmfError("cannot predict from an empty chain trace")
-    acc = np.zeros(user_idx.shape, dtype=np.float64)
-    buffers = dot_buffers(user_idx.size, trace.samples[0].k)
-    for s in trace.samples:
-        acc += sigmoid(row_dots(s.u, s.v, user_idx, item_idx, buffers))
-    return denormalize_rating(acc / len(trace.samples), scale)
+    mean = PosteriorMean(user_idx, item_idx)
+    for state in trace.samples:
+        mean.add(state)
+    return mean.ratings(scale)

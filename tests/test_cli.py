@@ -174,6 +174,13 @@ class TestCompare:
         assert lines[0] == "engine,rmse_test,epochs_to_plateau,wall_clock_seconds"
         assert len(lines) == 3
 
+    def test_csv_path_that_fails_leaves_no_output(self, two_reports, tmp_path, capsys):
+        code = run_cli("compare", str(two_reports[0]), str(two_reports[1]),
+                       "--csv", str(tmp_path / "missing_dir" / "x.csv"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("bpmf: ")
+
     def test_single_report_is_usage_error(self, two_reports):
         assert run_cli("compare", str(two_reports[0])) == 1
 

@@ -9,7 +9,8 @@ import pytest
 
 from bpmf import evaluate
 from bpmf.baseline import MfConfig
-from bpmf.errors import BpmfError
+from bpmf.data import build_dataset, load_ratings, split_dataset
+from bpmf.errors import BpmfError, DataFormatError
 from bpmf.evaluate import (
     ExperimentConfig,
     ExperimentReport,
@@ -20,7 +21,8 @@ from bpmf.evaluate import (
     rmse,
     run_experiment,
 )
-from bpmf.model import LatentState, RatingDataset, RatingScale
+from bpmf.mcmc import McmcConfig, PosteriorMean, run_chain
+from bpmf.model import LatentState, ModelHyperparams, RatingDataset, RatingScale, denormalize_rating
 from bpmf.vi import ViConfig
 
 from conftest import make_dataset
@@ -71,7 +73,7 @@ class TestPredictAll:
     def test_warm_prediction_uses_engine(self):
         train, eval_set = self._train_and_eval()
         state = LatentState(np.full((2, 1), 0.4), np.full((2, 1), 0.6))
-        preds, cold = predict_all(state, eval_set, train)
+        preds, cold = predict_all(state, eval_set, train, global_mean_rating(train))
         assert cold == 1
         assert preds[0] == pytest.approx(4 * 0.24 + 1)
 
@@ -88,7 +90,7 @@ class TestPredictAll:
         eval_set = RatingDataset(3, 3, [1, 2], [1, 2], [0.0, 1.0], scale)
         state = LatentState(np.ones((3, 1)), np.ones((3, 1)))
         fallback = global_mean_rating(train)
-        preds, cold = predict_all(state, eval_set, train)
+        preds, cold = predict_all(state, eval_set, train, fallback)
         assert cold == 2
         np.testing.assert_allclose(preds, fallback)
 
@@ -97,7 +99,7 @@ class TestPredictAll:
         eval_set = make_dataset(5, 5, 8, seed=1)
         rng = np.random.default_rng(2)
         state = LatentState(rng.normal(0, 3, (5, 2)), rng.normal(0, 3, (5, 2)))
-        preds, _ = predict_all(state, eval_set, train)
+        preds, _ = predict_all(state, eval_set, train, global_mean_rating(train))
         assert np.all(preds >= 1.0)
         assert np.all(preds <= 5.0)
 
@@ -146,8 +148,22 @@ class TestExperimentReport:
         assert keys == {
             "config", "rmse_validation", "rmse_test", "loss_trace",
             "wall_clock_seconds", "n_train", "n_val", "n_test",
-            "cold_start_count",
+            "cold_start_count", "timings", "peak_rss_mb",
         }
+
+    def test_report_without_timings_or_peak_rss_still_loads(self):
+        # a report written before the two fields existed
+        payload = self._report().to_dict()
+        del payload["timings"], payload["peak_rss_mb"]
+        report = ExperimentReport.from_dict(payload)
+        assert (report.timings, report.peak_rss_mb) == ({}, None)
+        compare([report, report])
+
+    @pytest.mark.parametrize("field,value", [("timings", [1.0]), ("timings", {"train": "1"}),
+                                             ("peak_rss_mb", "90"), ("peak_rss_mb", True)])
+    def test_new_fields_are_type_checked(self, field, value):
+        with pytest.raises(DataFormatError):
+            ExperimentReport.from_dict({**self._report().to_dict(), field: value})
 
 
 class TestRunExperiment:
@@ -215,6 +231,52 @@ class TestRunExperiment:
                                         engine_config=engine_config))
         assert widths == [5, 5]
         assert json.loads((out / "report.json").read_text())["config"]["k"] == 5
+
+    @pytest.mark.parametrize("engine,engine_config", [
+        ("vi", ViConfig(epochs=15)), ("mf", MfConfig(epochs=20)),
+        ("mcmc", McmcConfig(n_steps=60)),
+    ])
+    def test_report_times_each_phase_and_peak_memory(self, engine, engine_config,
+                                                     ratings_small_csv, tmp_path):
+        out = tmp_path / engine
+        report = run_experiment(ExperimentConfig(engine=engine, data_path=str(ratings_small_csv),
+                                                 output_dir=str(out), k=4,
+                                                 engine_config=engine_config))
+        on_disk = json.loads((out / "report.json").read_text())
+        assert list(on_disk["timings"]) == ["load", "build", "split", "train", "predict", "write"]
+        assert all(isinstance(t, float) and t >= 0 for t in on_disk["timings"].values())
+        assert on_disk["timings"]["train"] == on_disk["wall_clock_seconds"]
+        assert isinstance(on_disk["peak_rss_mb"], float) and on_disk["peak_rss_mb"] > 0
+        assert ExperimentReport.from_dict(on_disk) == report
+
+    def test_mcmc_streams_predictions_without_keeping_samples(self, ratings_small_csv,
+                                                              tmp_path, monkeypatch):
+        engine_config = McmcConfig(n_steps=80, thin=3)
+        cfg = ExperimentConfig(engine="mcmc", data_path=str(ratings_small_csv),
+                               output_dir=str(tmp_path / "out"), k=3,
+                               engine_config=engine_config)
+
+        def no_copies(self):
+            raise AssertionError("run_experiment copied a chain state")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LatentState, "copy", no_copies)
+            report = run_experiment(cfg)
+
+        # the same numbers as predicting from a chain that keeps its samples
+        raw, scale = load_ratings(ratings_small_csv)
+        data, maps = build_dataset(raw, scale)
+        split = split_dataset(data, maps=maps)
+        trace = run_chain(split.train, ModelHyperparams(3, 0.25), engine_config)
+        assert len(trace.samples) > 1
+        fallback = global_mean_rating(split.train)
+        for part, got in ((split.validation, report.rmse_validation),
+                          (split.test, report.rmse_test)):
+            mean = PosteriorMean(part.user_idx, part.item_idx)
+            for state in trace.samples:
+                mean.add(state)
+            preds, _ = predict_all(mean, part, split.train, fallback)
+            assert got == rmse(preds, denormalize_rating(part.rating, scale))
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(BpmfError):

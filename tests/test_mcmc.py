@@ -9,9 +9,11 @@ from bpmf.errors import BpmfError
 from bpmf.mcmc import (
     ChainTrace,
     McmcConfig,
+    PosteriorMean,
     RowwiseCache,
     acceptance_ratio,
     mcmc_predict,
+    mcmc_predict_batch,
     mh_step,
     row_log_ratios,
     rowwise_sweep,
@@ -25,6 +27,8 @@ from bpmf.model import (
     denormalize_rating,
     log_joint,
     rating_residuals,
+    row_dots,
+    sigmoid,
 )
 
 from conftest import discrete_mh_kernel, make_dataset, predict_point
@@ -368,6 +372,43 @@ class TestMcmcPredict:
         trace = ChainTrace(samples=[], energies=np.zeros(0), accepted=np.zeros(0, dtype=bool))
         with pytest.raises(BpmfError):
             mcmc_predict(trace, 0, 0, RatingScale(5))
+
+
+class TestStreamedPosteriorMean:
+    @pytest.mark.parametrize("cfg", [
+        joint(n_steps=300, burn_in=100, thin=1, proposal_std=0.05, seed=2),
+        rowwise(n_steps=120, burn_in=40, thin=1, seed=2),
+        rowwise(n_steps=120, burn_in=40, thin=7, seed=2),
+    ], ids=["joint", "rowwise", "rowwise-thin7"])
+    def test_streamed_mean_equals_stored_trace(self, cfg):
+        data = make_dataset(12, 15, 60, seed=4)
+        hp = ModelHyperparams(3, 0.25)
+        # two held-out pair sets, as run_experiment streams validation and test
+        held_out = [make_dataset(12, 15, n, seed=seed) for n, seed in ((30, 5), (25, 6))]
+        means = [PosteriorMean(part.user_idx, part.item_idx) for part in held_out]
+        seen = []
+
+        def on_sample(state):
+            seen.append(state.copy())
+            for mean in means:
+                mean.add(state)
+
+        streamed = run_chain(data, hp, cfg, on_sample=on_sample)
+        stored = run_chain(data, hp, cfg)
+        assert streamed.samples == [] and len(seen) == len(stored.samples) > 1
+        np.testing.assert_array_equal(streamed.energies, stored.energies)
+        np.testing.assert_array_equal(streamed.accepted, stored.accepted)
+        for got, kept in zip(seen, stored.samples):
+            assert np.array_equal(got.u, kept.u) and np.array_equal(got.v, kept.v)
+        for mean, part in zip(means, held_out):
+            # the summation of the predictor before it was streamed, as the reference
+            total = np.zeros(part.n_ratings)
+            for state in stored.samples:
+                total += sigmoid(row_dots(state.u, state.v, part.user_idx, part.item_idx))
+            reference = denormalize_rating(total / len(stored.samples), data.scale)
+            batch = mcmc_predict_batch(stored, part.user_idx, part.item_idx, data.scale)
+            assert np.array_equal(mean.ratings(data.scale), reference)
+            assert np.array_equal(batch, reference)
 
 
 class TestConfigValidation:
