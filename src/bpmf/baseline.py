@@ -23,8 +23,8 @@ class MfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be finite and positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.seed < 0:
@@ -51,8 +51,6 @@ def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig,
              _buffers=None, _epoch=0) -> LatentState:
     """One full-batch update: the U block first, then V against the new U."""
     _check_shapes(state, data)
-    if data.n_ratings == 0:
-        return state.copy()
     by_user, by_item = data.incidence
     buffers = _buffers if _buffers is not None else dot_buffers(data.n_ratings, state.k)
     u_rows, v_rows, _ = buffers

@@ -20,8 +20,9 @@ import numpy as np
 from .baseline import MfConfig, mf_train
 from .data import SPLIT_FRACTIONS, build_dataset, load_ratings, split_dataset
 from .errors import BpmfError, DataFormatError, UsageError
-from .mcmc import McmcConfig, PosteriorMean, run_chain
-from .model import LatentState, ModelHyperparams, RatingDataset, denormalize_rating, row_dots
+from .mcmc import McmcConfig, run_chain
+from .model import (LatentState, ModelHyperparams, PosteriorMean, RatingDataset,
+                    denormalize_rating, row_dots)
 from .vi import VariationalParams, ViConfig, vi_predict_batch, vi_train
 
 # the config each engine trains with when the experiment gives none
@@ -124,10 +125,10 @@ def predict_all(engine_result, eval_data: RatingDataset, train_data: RatingDatas
     Any user or item with zero training ratings gets the fallback value
     (``run_experiment`` passes the training global mean). The engine
     result type selects the predictor: LatentState (baseline, dot
-    product clipped to the valid range), PosteriorMean (MCMC posterior
-    sample mean, streamed over this eval set's pairs while the chain
-    ran), or VariationalParams (MC mean over the fitted posterior,
-    fixed seed).
+    product clipped to the valid range), PosteriorMean (MCMC: the mean
+    over retained samples, streamed over this eval set's pairs while
+    the chain ran), or VariationalParams (VI: ``vi_predict_batch`` feeds
+    a PosteriorMean with fixed-seed draws of the fitted posterior).
     """
     ii, jj = eval_data.user_idx, eval_data.item_idx
 

@@ -18,9 +18,10 @@ proposal densities cancel in every acceptance ratio:
 
 Each step (a sweep, for ``"rowwise"``) records the exact log joint of
 the retained state. Samples are retained after burn-in with an optional
-thinning stride; predictions average sigmoid(u.v) over retained samples,
-either from a trace that kept them or streamed into a
-:class:`PosteriorMean` as the chain runs.
+thinning stride. Predictions average sigmoid(u.v) over the retained
+samples in a :class:`bpmf.model.PosteriorMean`, the same running mean
+the VI engine predicts through: fed from a trace that kept them, or
+streamed as the chain runs.
 """
 
 from __future__ import annotations
@@ -29,18 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BpmfError
+from .errors import BpmfError, DivergenceError
 from .model import (
     LatentState,
     ModelHyperparams,
+    PosteriorMean,
     RatingDataset,
     RatingScale,
-    denormalize_rating,
     dot_buffers,
     log_joint,
     rating_residuals,
-    row_dots,
-    sigmoid,
 )
 
 PROPOSALS = ("joint", "rowwise")
@@ -72,8 +71,8 @@ class McmcConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_steps")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if not self.proposal_std > 0:
-            raise ValueError("proposal_std must be positive")
+        if not 0 < self.proposal_std < np.inf:
+            raise ValueError("proposal_std must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -114,15 +113,13 @@ def acceptance_ratio(log_g_current: float, log_g_proposed: float) -> float:
 
 
 def mh_step(state: LatentState, data: RatingDataset, hp: ModelHyperparams,
-            cfg: McmcConfig, rng, log_g_current=None):
-    """One Metropolis-Hastings step.
+            cfg: McmcConfig, rng, log_g_current: float):
+    """One Metropolis-Hastings step from a state whose log joint is ``log_g_current``.
 
     Draw order is fixed (U noise, V noise, then the acceptance uniform)
     so a seeded generator reproduces the chain exactly. Returns
     (retained state, accepted flag, log_joint of the retained state).
     """
-    if log_g_current is None:
-        log_g_current = log_joint(state, data, hp)
     proposed = LatentState(
         state.u + rng.normal(0.0, cfg.proposal_std, size=state.u.shape),
         state.v + rng.normal(0.0, cfg.proposal_std, size=state.v.shape),
@@ -222,10 +219,13 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
     cache = RowwiseCache.for_state(state, data) if cfg.proposal == "rowwise" else None
     samples, energies, accepted = [], [], []
     for t in range(cfg.n_steps):
-        if cache is None:
-            state, acc, log_g = mh_step(state, data, hp, cfg, rng, log_g_current=log_g)
-        else:
-            acc, log_g = rowwise_sweep(state, data, hp, cfg, rng, cache, log_g)
+        try:  # a step raises ValueError only from the finite check on its proposal
+            if cache is None:
+                state, acc, log_g = mh_step(state, data, hp, cfg, rng, log_g_current=log_g)
+            else:
+                acc, log_g = rowwise_sweep(state, data, hp, cfg, rng, cache, log_g)
+        except ValueError:
+            raise DivergenceError("proposal overflowed (reduce proposal_std)", t) from None
         energies.append(log_g)
         accepted.append(acc)
         if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
@@ -234,34 +234,6 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
             else:
                 on_sample(state)
     return ChainTrace(samples=samples, energies=np.array(energies), accepted=np.array(accepted))
-
-
-class PosteriorMean:
-    """Running posterior-predictive mean of sigmoid(u.v) for fixed pairs.
-
-    ``add`` takes one posterior sample; ``ratings`` is the mean over the
-    samples added so far, on the original rating scale. Summing in the
-    order samples are added makes a streamed mean equal, bit for bit, to
-    one taken over a stored trace in the same order.
-    """
-
-    def __init__(self, user_idx, item_idx):
-        self.user_idx, self.item_idx = user_idx, item_idx
-        self.total = np.zeros(user_idx.shape, dtype=np.float64)
-        self.count = 0
-        self._buffers = None
-
-    def add(self, state: LatentState):
-        if self._buffers is None:
-            self._buffers = dot_buffers(self.user_idx.size, state.k)
-        self.total += sigmoid(row_dots(state.u, state.v, self.user_idx, self.item_idx,
-                                       self._buffers))
-        self.count += 1
-
-    def ratings(self, scale: RatingScale):
-        if not self.count:
-            raise BpmfError("cannot predict from zero posterior samples")
-        return denormalize_rating(self.total / self.count, scale)
 
 
 def mcmc_predict(trace: ChainTrace, i: int, j: int, scale: RatingScale) -> float:

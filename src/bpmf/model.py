@@ -2,8 +2,9 @@
 
 Latent user/item factors carry independent standard-normal priors; an
 observed (normalized) rating is Gaussian around ``sigmoid(u_i . v_j)``
-with variance ``sigma2``. Everything here is a pure function; all
-normalization constants are kept so log densities are exact.
+with variance ``sigma2``. All normalization constants are kept so log
+densities are exact. Besides pure functions, this holds
+:class:`PosteriorMean`, the running mean both Bayesian engines predict by.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.special import expit
+
+from .errors import BpmfError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -122,8 +125,8 @@ class ModelHyperparams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be finite and positive")
 
 
 def sigmoid(x):
@@ -188,8 +191,6 @@ def residual_log_likelihood(resid, sigma2: float) -> float:
 
 def log_likelihood_sum(u, v, data: RatingDataset, sigma2: float, buffers=None) -> float:
     """Sum of per-entry log likelihoods over the observed ratings."""
-    if data.n_ratings == 0:
-        return 0.0
     resid = rating_residuals(u, v, data.user_idx, data.item_idx, data.rating, buffers)
     return residual_log_likelihood(resid, sigma2)
 
@@ -206,3 +207,31 @@ def log_joint(state: LatentState, data: RatingDataset, hp: ModelHyperparams) -> 
         - (data.n_users + data.n_items) * (hp.k / 2.0) * LOG_2PI
     )
     return float(log_prior + log_likelihood_sum(state.u, state.v, data, hp.sigma2))
+
+
+class PosteriorMean:
+    """Running posterior-predictive mean of sigmoid(u.v) for fixed pairs.
+
+    ``add`` takes one posterior sample; ``ratings`` is the mean over the
+    samples added so far, on the original rating scale. Summing in the
+    order samples are added makes a streamed mean equal, bit for bit, to
+    one taken over a stored trace in the same order.
+    """
+
+    def __init__(self, user_idx, item_idx):
+        self.user_idx, self.item_idx = user_idx, item_idx
+        self.total = np.zeros(user_idx.shape, dtype=np.float64)
+        self.count = 0
+        self._buffers = None
+
+    def add(self, state: LatentState):
+        if self._buffers is None:
+            self._buffers = dot_buffers(self.user_idx.size, state.k)
+        self.total += sigmoid(row_dots(state.u, state.v, self.user_idx, self.item_idx,
+                                       self._buffers))
+        self.count += 1
+
+    def ratings(self, scale: RatingScale):
+        if not self.count:
+            raise BpmfError("cannot predict from zero posterior samples")
+        return denormalize_rating(self.total / self.count, scale)

@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import DivergenceError
 from .model import (
+    LatentState,
     ModelHyperparams,
+    PosteriorMean,
     RatingDataset,
     RatingScale,
     denormalize_rating,
@@ -65,8 +67,8 @@ class ViConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.mc_samples < 1:
@@ -113,31 +115,30 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
         np.zeros_like(params.mu_v), np.zeros_like(params.log_s_v),
     )
     loglik = 0.0
-    if data.n_ratings:
-        by_user, by_item = data.incidence
-        buffers = _buffers if _buffers is not None else dot_buffers(data.n_ratings, params.k)
-        u_rows, v_rows, _ = buffers
-        ii, jj, rr = data.user_idx, data.item_idx, data.rating
-        for eps_u, eps_v in noise:
-            u = params.mu_u + s_u * eps_u
-            v = params.mu_v + s_v * eps_v
-            mean = sigmoid(row_dots(u, v, ii, jj, buffers))
-            resid = rr - mean
-            loglik += residual_log_likelihood(resid, hp.sigma2)
-            # d(log lik)/d(dot) for each observation; the products reuse the gathers
-            coef = (resid * mean * (1.0 - mean) / hp.sigma2)[:, None]
-            g_u = by_user @ np.multiply(coef, v_rows, out=v_rows)
-            g_v = by_item @ np.multiply(coef, u_rows, out=u_rows)
-            grad.mu_u += g_u
-            grad.mu_v += g_v
-            grad.log_s_u += g_u * (u - params.mu_u)
-            grad.log_s_v += g_v * (v - params.mu_v)
-        n = len(noise)
-        loglik /= n
-        grad.mu_u /= n
-        grad.mu_v /= n
-        grad.log_s_u /= n
-        grad.log_s_v /= n
+    by_user, by_item = data.incidence
+    buffers = _buffers if _buffers is not None else dot_buffers(data.n_ratings, params.k)
+    u_rows, v_rows, _ = buffers
+    ii, jj, rr = data.user_idx, data.item_idx, data.rating
+    for eps_u, eps_v in noise:
+        u = params.mu_u + s_u * eps_u
+        v = params.mu_v + s_v * eps_v
+        mean = sigmoid(row_dots(u, v, ii, jj, buffers))
+        resid = rr - mean
+        loglik += residual_log_likelihood(resid, hp.sigma2)
+        # d(log lik)/d(dot) for each observation; the products reuse the gathers
+        coef = (resid * mean * (1.0 - mean) / hp.sigma2)[:, None]
+        g_u = by_user @ np.multiply(coef, v_rows, out=v_rows)
+        g_v = by_item @ np.multiply(coef, u_rows, out=u_rows)
+        grad.mu_u += g_u
+        grad.mu_v += g_v
+        grad.log_s_u += g_u * (u - params.mu_u)
+        grad.log_s_v += g_v * (v - params.mu_v)
+    n = len(noise)
+    loglik /= n
+    grad.mu_u /= n
+    grad.mu_v /= n
+    grad.log_s_u /= n
+    grad.log_s_v /= n
     # analytic KL part: d/dmu = mu, d/dlog_s = sigma^2 - 1
     grad.mu_u -= params.mu_u
     grad.mu_v -= params.mu_v
@@ -209,14 +210,12 @@ def vi_predict(params: VariationalParams, i: int, j: int, scale: RatingScale,
 
 
 def vi_predict_batch(params: VariationalParams, user_idx, item_idx, scale: RatingScale):
-    """Predicted ratings for paired index arrays: the mean of sigmoid(u.v)
-    over ``PREDICT_SAMPLES`` posterior draws from ``default_rng(0)``."""
+    """Predicted ratings for paired index arrays: a :class:`PosteriorMean` over
+    ``PREDICT_SAMPLES`` whole-factor posterior draws from ``default_rng(0)``."""
     rng = np.random.default_rng(0)
-    acc = np.zeros(user_idx.shape, dtype=np.float64)
-    mu_u, s_u = params.mu_u[user_idx], np.exp(params.log_s_u[user_idx])
-    mu_v, s_v = params.mu_v[item_idx], np.exp(params.log_s_v[item_idx])
+    s_u, s_v = np.exp(params.log_s_u), np.exp(params.log_s_v)
+    mean = PosteriorMean(user_idx, item_idx)
     for _ in range(PREDICT_SAMPLES):
-        u = mu_u + s_u * rng.standard_normal(mu_u.shape)
-        v = mu_v + s_v * rng.standard_normal(mu_v.shape)
-        acc += sigmoid(np.einsum("ij,ij->i", u, v))
-    return denormalize_rating(acc / PREDICT_SAMPLES, scale)
+        [(eps_u, eps_v)] = draw_noise(params, 1, rng)
+        mean.add(LatentState(params.mu_u + s_u * eps_u, params.mu_v + s_v * eps_v))
+    return mean.ratings(scale)

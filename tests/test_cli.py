@@ -137,6 +137,13 @@ class TestRun:
     def test_negative_seed_is_usage_error_on_every_engine(self, engine, flag, tmp_path, capsys):
         assert_usage_error_before_loading(tmp_path, capsys, engine, flag, "-1")
 
+    @pytest.mark.parametrize("engine,flag", [
+        ("vi", "--sigma2"), ("vi", "--lr"), ("mf", "--sigma2"), ("mf", "--lr"),
+        ("mcmc", "--sigma2"), ("mcmc", "--proposal-std"),
+    ])
+    def test_infinite_float_setting_is_usage_error(self, engine, flag, tmp_path, capsys):
+        assert_usage_error_before_loading(tmp_path, capsys, engine, flag, "inf")
+
     def test_chain_length_past_float_range_is_usage_error(self, tmp_path, capsys):
         # the default burn-in is 60% of the steps, computed in floating point
         assert_usage_error_before_loading(tmp_path, capsys, "mcmc", "--n-steps", str(10**400))
@@ -147,6 +154,15 @@ class TestRun:
             "--out", str(tmp_path / "div"), "--lr", "1e8", "--epochs", "50",
         )
         assert code == 2
+
+    def test_overflowing_proposal_is_runtime_error(self, small_csv, tmp_path, capsys):
+        code = run_cli(
+            "run", "--engine", "mcmc", "--data", str(small_csv),
+            "--out", str(tmp_path / "div"), "--proposal-std", "1e308", "--n-steps", "5",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bpmf: epoch ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

@@ -21,8 +21,9 @@ from bpmf.evaluate import (
     rmse,
     run_experiment,
 )
-from bpmf.mcmc import McmcConfig, PosteriorMean, run_chain
-from bpmf.model import LatentState, ModelHyperparams, RatingDataset, RatingScale, denormalize_rating
+from bpmf.mcmc import McmcConfig, run_chain
+from bpmf.model import (LatentState, ModelHyperparams, PosteriorMean, RatingDataset,
+                        RatingScale, denormalize_rating)
 from bpmf.vi import ViConfig
 
 from conftest import make_dataset

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from bpmf import mcmc
-from bpmf.errors import BpmfError
+from bpmf.errors import BpmfError, DivergenceError
 from bpmf.mcmc import (
     ChainTrace,
     McmcConfig,
-    PosteriorMean,
     RowwiseCache,
     acceptance_ratio,
     mcmc_predict,
@@ -22,6 +21,7 @@ from bpmf.mcmc import (
 from bpmf.model import (
     LatentState,
     ModelHyperparams,
+    PosteriorMean,
     RatingDataset,
     RatingScale,
     denormalize_rating,
@@ -110,7 +110,8 @@ class TestMhStep:
         cfg = joint(n_steps=10, burn_in=0, proposal_std=1e-12)
         state = LatentState(np.array([[0.3]]), np.array([[0.2]]))
         accepted = [
-            mh_step(state, tiny_dataset, hp, cfg, np.random.default_rng(s))[1]
+            mh_step(state, tiny_dataset, hp, cfg, np.random.default_rng(s),
+                    log_joint(state, tiny_dataset, hp))[1]
             for s in range(50)
         ]
         assert all(accepted)
@@ -129,7 +130,8 @@ class TestMhStep:
         hp = ModelHyperparams(1, 0.1)
         cfg = joint(n_steps=10, burn_in=0, proposal_std=5.0)
         state = LatentState(np.array([[0.0]]), np.array([[0.0]]))
-        new, accepted, _ = mh_step(state, tiny_dataset, hp, cfg, ForcedRng())
+        new, accepted, _ = mh_step(state, tiny_dataset, hp, cfg, ForcedRng(),
+                                   log_joint(state, tiny_dataset, hp))
         assert accepted
         assert new.u[0, 0] != 0.0 or new.v[0, 0] != 0.0
 
@@ -140,7 +142,8 @@ class TestMhStep:
         state = LatentState(np.array([[0.1]]), np.array([[0.1]]))
         saw_rejection = False
         for _ in range(200):
-            new, accepted, _ = mh_step(state, tiny_dataset, hp, cfg, rng)
+            new, accepted, _ = mh_step(state, tiny_dataset, hp, cfg, rng,
+                                       log_joint(state, tiny_dataset, hp))
             if not accepted:
                 saw_rejection = True
                 assert new is state
@@ -343,8 +346,9 @@ class TestRowwiseKernel:
 
     def test_non_finite_proposal_raises(self, tiny_dataset):
         cfg = rowwise(n_steps=5, burn_in=0, proposal_std=1e308)
-        with pytest.raises(ValueError), np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
             run_chain(tiny_dataset, ModelHyperparams(1, 0.1), cfg)
+        assert 0 <= err.value.epoch < cfg.n_steps
 
 
 class TestMcmcPredict:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from bpmf.errors import DivergenceError
-from bpmf.model import ModelHyperparams, RatingDataset, RatingScale
+from bpmf.model import LatentState, ModelHyperparams, PosteriorMean, RatingDataset, RatingScale
 from bpmf.vi import (
+    PREDICT_SAMPLES,
     VariationalParams,
     ViConfig,
     draw_noise,
@@ -17,6 +18,7 @@ from bpmf.vi import (
     init_params,
     kl_gaussian_vs_standard,
     vi_predict,
+    vi_predict_batch,
     vi_train,
 )
 
@@ -207,6 +209,52 @@ class TestViPredict:
                 val = vi_predict(params, i, j, RatingScale(5), mc_samples=50,
                                  rng=np.random.default_rng(i * 3 + j))
                 assert 1.0 <= val <= 5.0
+
+    def test_batch_is_a_posterior_mean_over_whole_factor_draws(self):
+        params = random_params(4, 5, 3, np.random.default_rng(3))
+        ii, jj = np.array([0, 3, 3, 1, 0]), np.array([4, 0, 2, 2, 4])
+        rng = np.random.default_rng(0)
+        mean = PosteriorMean(ii, jj)
+        for _ in range(PREDICT_SAMPLES):
+            [(eps_u, eps_v)] = draw_noise(params, 1, rng)
+            mean.add(LatentState(params.mu_u + np.exp(params.log_s_u) * eps_u,
+                                 params.mu_v + np.exp(params.log_s_v) * eps_v))
+        expected = mean.ratings(RatingScale(5))
+        got = vi_predict_batch(params, ii, jj, RatingScale(5))
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_batch_agrees_with_single_pair_estimator(self):
+        # sigma well away from 0, so the 32-draw batch mean has real Monte Carlo spread;
+        # pair p is (p, p), so its batch error is independent of every other pair's
+        rng = np.random.default_rng(11)
+        n, scale, draws = 40, RatingScale(5), 20_000
+        params = VariationalParams(
+            rng.normal(0, 1.2, (n, 2)), np.log(rng.uniform(0.6, 1.2, (n, 2))),
+            rng.normal(0, 1.2, (n, 2)), np.log(rng.uniform(0.6, 1.2, (n, 2))),
+        )
+        batch = vi_predict_batch(params, np.arange(n), np.arange(n), scale)
+        z = np.empty(n)
+        for p in range(n):
+            reference = vi_predict(params, p, p, scale, mc_samples=draws,
+                                   rng=np.random.default_rng(100 + p))
+            # per-draw spread of the rating, from draws independent of both estimates
+            eps = np.random.default_rng(200 + p).standard_normal((2, draws, params.k))
+            u = params.mu_u[p] + np.exp(params.log_s_u[p]) * eps[0]
+            v = params.mu_v[p] + np.exp(params.log_s_v[p]) * eps[1]
+            sd = scale.span * np.std(1.0 / (1.0 + np.exp(-np.sum(u * v, axis=1))))
+            z[p] = (batch[p] - reference) / (sd * np.sqrt(1.0 / PREDICT_SAMPLES + 1.0 / draws))
+        assert np.all(np.abs(z) < 4.0)
+        # pooled over the pairs: a biased estimator (say, the plug-in mean) inflates z^2
+        assert np.mean(z**2) < 1.0 + 4.0 * np.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("side,index", [("user", -1), ("user", 3), ("item", -1), ("item", 4)])
+    def test_batch_rejects_out_of_range_index(self, side, index):
+        # a negative index must not wrap onto the last row
+        params = random_params(3, 4, 2, np.random.default_rng(0))
+        ii, jj = np.array([0, 1]), np.array([0, 1])
+        (ii if side == "user" else jj)[1] = index
+        with pytest.raises(IndexError):
+            vi_predict_batch(params, ii, jj, RatingScale(5))
 
 
 class TestConfigValidation:
