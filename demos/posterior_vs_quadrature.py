@@ -22,12 +22,12 @@ from bpmf import (
     RatingScale,
     ViConfig,
     denormalize_rating,
-    mcmc_predict,
     run_chain,
     sigmoid,
     vi_predict,
     vi_train,
 )
+from bpmf.model import PosteriorMean
 from bpmf.vi import kl_gaussian_vs_standard
 
 RATING = 0.8  # normalized observed rating
@@ -78,12 +78,14 @@ def main():
     print(f"quadrature predictive rating: {oracle_rating:.4f}")
     print(f"quadrature log evidence:      {log_evidence:.4f}")
 
+    posterior_mean = PosteriorMean(np.array([0]), np.array([0]))
     chain = run_chain(
         data, hp,
         McmcConfig(n_steps=50_000, burn_in=10_000, thin=10, proposal_std=0.5, seed=0,
                    proposal="joint"),
+        posterior_mean.add,
     )
-    mcmc_rating = mcmc_predict(chain, 0, 0, scale)
+    mcmc_rating = float(posterior_mean.ratings(scale)[0])
     print(f"\nMCMC predictive rating:       {mcmc_rating:.4f} "
           f"(acceptance rate {chain.acceptance_rate:.2f})")
 

@@ -9,7 +9,7 @@ a MovieLens-format data pipeline, and an evaluation harness.
 
 from .baseline import MfConfig
 from .evaluate import ExperimentConfig, compare, plateau_epoch, run_experiment
-from .mcmc import McmcConfig, mcmc_predict, run_chain
+from .mcmc import McmcConfig, run_chain
 from .model import ModelHyperparams, RatingDataset, RatingScale, denormalize_rating, sigmoid
 from .vi import ViConfig, vi_predict, vi_train
 

@@ -31,11 +31,11 @@ class MfConfig:
             raise ValueError("seed must be >= 0")
 
 
-def mf_loss(state: LatentState, data: RatingDataset, _buffers=None) -> float:
+def mf_loss(state: LatentState, data: RatingDataset, buffers=None) -> float:
     """Sum of squared residuals over observed (normalized) ratings."""
     _check_shapes(state, data)
     with np.errstate(over="ignore"):
-        dots = row_dots(state.u, state.v, data.user_idx, data.item_idx, _buffers)
+        dots = row_dots(state.u, state.v, data.user_idx, data.item_idx, buffers)
         return float(np.sum((data.rating - dots) ** 2))
 
 
@@ -47,26 +47,21 @@ def _check_shapes(state: LatentState, data: RatingDataset):
         )
 
 
-def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig,
-             _buffers=None, _epoch=0) -> LatentState:
+def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig, buffers) -> LatentState:
     """One full-batch update: the U block first, then V against the new U."""
     _check_shapes(state, data)
     by_user, by_item = data.incidence
-    buffers = _buffers if _buffers is not None else dot_buffers(data.n_ratings, state.k)
     u_rows, v_rows, _ = buffers
     ii, jj, rr = data.user_idx, data.item_idx, data.rating
 
-    # overflow here is reported as a divergence error, not a warning;
-    # each update reuses the rows its residuals gathered
+    # overflow here fails LatentState's finite check, which mf_train reports as
+    # a divergence error; each update reuses the rows its residuals gathered
     with np.errstate(over="ignore", invalid="ignore"):
         resid = rr - row_dots(state.u, state.v, ii, jj, buffers)
         u_new = state.u + cfg.alpha * (by_user @ np.multiply(resid[:, None], v_rows, out=v_rows))
 
         resid = rr - row_dots(u_new, state.v, ii, jj, buffers)
         v_new = state.v + cfg.alpha * (by_item @ np.multiply(resid[:, None], u_rows, out=u_rows))
-
-    if not (np.isfinite(u_new).all() and np.isfinite(v_new).all()):
-        raise DivergenceError("matrix factorization diverged (reduce alpha)", _epoch)
     return LatentState(u_new, v_new)
 
 
@@ -88,6 +83,9 @@ def mf_train(data: RatingDataset, hp: ModelHyperparams, cfg: MfConfig):
     buffers = dot_buffers(data.n_ratings, hp.k)
     trace = []
     for epoch in range(cfg.epochs):
-        state = mf_epoch(state, data, cfg, _buffers=buffers, _epoch=epoch)
-        trace.append(mf_loss(state, data, _buffers=buffers))
+        try:  # an epoch raises ValueError only from the finite check on its update
+            state = mf_epoch(state, data, cfg, buffers)
+        except ValueError:
+            raise DivergenceError("matrix factorization diverged (reduce alpha)", epoch) from None
+        trace.append(mf_loss(state, data, buffers))
     return state, trace

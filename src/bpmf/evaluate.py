@@ -154,12 +154,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Load, split, train the selected engine, score, and write artifacts.
 
     Writes ``report.json`` and ``trace.csv`` into the output directory.
-    ``timings`` holds the seconds spent in each phase: load, build,
-    split, train, predict (scoring included) and write. The wall
-    clock, ``timings["train"]``, covers training only: the MCMC engine
-    adds each retained sample's predictions for the validation and test
-    pairs to two running means as the chain runs, keeping no samples,
-    and that time counts under ``predict``.
+    Validation and test are scored in one pass over the held-out pairs,
+    validation first. ``timings`` holds the seconds spent in each phase:
+    load, build, split, train, predict (scoring included) and write.
+    The wall clock, ``timings["train"]``, covers training only: the MCMC
+    engine adds each retained sample's predictions for the held-out
+    pairs to a running mean as the chain runs, keeping no samples, and
+    that time counts under ``predict``.
     """
     engine_cfg = cfg.resolved_engine_config()
     hp = ModelHyperparams(k=cfg.k, sigma2=cfg.sigma2)
@@ -174,38 +175,37 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     raw, scale = load_ratings(cfg.data_path)
     lap("load")
-    data, maps = build_dataset(raw, scale)
+    data, _ = build_dataset(raw, scale)
     lap("build")
-    split = split_dataset(data, seed=cfg.split_seed, maps=maps)
+    split = split_dataset(data, seed=cfg.split_seed)
+    held_out = RatingDataset(data.n_users, data.n_items, *(
+        np.concatenate([getattr(split.validation, name), getattr(split.test, name)])
+        for name in ("user_idx", "item_idx", "rating")), scale)
     lap("split")
 
     streamed = 0.0
     if cfg.engine == "mcmc":
-        means = [PosteriorMean(part.user_idx, part.item_idx)
-                 for part in (split.validation, split.test)]
+        result = PosteriorMean(held_out.user_idx, held_out.item_idx)
 
         def on_sample(state):
             nonlocal streamed
             start = time.perf_counter()
-            for mean in means:
-                mean.add(state)
+            result.add(state)
             streamed += time.perf_counter() - start
 
-        trace = run_chain(split.train, hp, engine_cfg, on_sample=on_sample).energies.tolist()
-        result_val, result_test = means
+        trace = run_chain(split.train, hp, engine_cfg, on_sample).energies.tolist()
     else:
         train = mf_train if cfg.engine == "mf" else vi_train
-        result_val, trace = train(split.train, hp, engine_cfg)
-        result_test = result_val
+        result, trace = train(split.train, hp, engine_cfg)
     lap("train")
     timings["train"] -= streamed
 
-    fallback = global_mean_rating(split.train)
-    truths_val = denormalize_rating(split.validation.rating, scale)
-    truths_test = denormalize_rating(split.test.rating, scale)
-    preds_val, cold_val = predict_all(result_val, split.validation, split.train, fallback)
-    preds_test, cold_test = predict_all(result_test, split.test, split.train, fallback)
-    rmse_val, rmse_test = rmse(preds_val, truths_val), rmse(preds_test, truths_test)
+    preds, cold_count = predict_all(result, held_out, split.train,
+                                    global_mean_rating(split.train))
+    truths = denormalize_rating(held_out.rating, scale)
+    n_val = split.validation.n_ratings
+    rmse_val = rmse(preds[:n_val], truths[:n_val])
+    rmse_test = rmse(preds[n_val:], truths[n_val:])
     loss_trace = [float(x) for x in trace]
     lap("predict")
     timings["predict"] += streamed
@@ -234,9 +234,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         loss_trace=loss_trace,
         wall_clock_seconds=timings["train"],
         n_train=split.train.n_ratings,
-        n_val=split.validation.n_ratings,
+        n_val=n_val,
         n_test=split.test.n_ratings,
-        cold_start_count=cold_val + cold_test,
+        cold_start_count=cold_count,
         timings=timings,
         # ru_maxrss is in kilobytes on Linux
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

@@ -17,11 +17,11 @@ proposal densities cancel in every acceptance ratio:
   coordinates of a MovieLens-sized model.
 
 Each step (a sweep, for ``"rowwise"``) records the exact log joint of
-the retained state. Samples are retained after burn-in with an optional
-thinning stride. Predictions average sigmoid(u.v) over the retained
-samples in a :class:`bpmf.model.PosteriorMean`, the same running mean
-the VI engine predicts through: fed from a trace that kept them, or
-streamed as the chain runs.
+the retained state. After burn-in, every ``thin``-th state is handed to
+a callable as the chain runs; the chain keeps none of them. Predictions
+average sigmoid(u.v) over them by passing
+:meth:`bpmf.model.PosteriorMean.add` as that callable: the same running
+mean the VI engine predicts through.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .errors import BpmfError, DivergenceError
 from .model import (
     LatentState,
     ModelHyperparams,
-    PosteriorMean,
     RatingDataset,
-    RatingScale,
     dot_buffers,
     log_joint,
     rating_residuals,
@@ -50,7 +48,8 @@ class McmcConfig:
     """Chain settings; the defaults are the chain ``bpmf run`` trains.
 
     A ``burn_in`` left as None is 60% of the steps; a ``thin`` left as
-    None keeps about 100 samples, which bounds their memory.
+    None retains about 100 samples, which bounds the cost of averaging
+    over them.
     """
 
     n_steps: int = 20_000
@@ -79,10 +78,7 @@ class McmcConfig:
 
 @dataclass
 class ChainTrace:
-    """Post-burn-in thinned samples plus per-step bookkeeping.
-
-    ``samples`` is empty when the chain passed each retained state to an
-    ``on_sample`` callable instead of keeping it.
+    """Per-step bookkeeping of a chain.
 
     ``accepted`` holds one entry per step: a bool for the joint kernel,
     the fraction of row proposals accepted in that sweep for the
@@ -90,7 +86,6 @@ class ChainTrace:
     so ``acceptance_rate`` is a rate in [0, 1] for both.
     """
 
-    samples: list
     energies: np.ndarray
     accepted: np.ndarray
 
@@ -197,14 +192,12 @@ def rowwise_sweep(state: LatentState, data: RatingDataset, hp: ModelHyperparams,
 
 
 def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
-              on_sample=None) -> ChainTrace:
+              on_sample) -> ChainTrace:
     """Run the full chain; deterministic for a given seed (PCG64).
 
-    Retains the states at steps burn_in, burn_in + thin, ... (0-based).
-    With ``on_sample`` given, each retained state is passed to it, in
-    retention order, instead of being copied into ``samples``: the state
-    is the chain's own, valid only during the call, and must not be
-    modified. The chain itself is the same either way.
+    Passes the states at steps burn_in, burn_in + thin, ... (0-based) to
+    ``on_sample``, in retention order. Each is the chain's own state,
+    valid only during the call, and must not be modified.
     """
     rng = np.random.default_rng(cfg.seed)
     # the chain starts from a draw of the standard-normal prior
@@ -217,7 +210,7 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
         raise BpmfError("non-finite log joint at initialization")
 
     cache = RowwiseCache.for_state(state, data) if cfg.proposal == "rowwise" else None
-    samples, energies, accepted = [], [], []
+    energies, accepted = [], []
     for t in range(cfg.n_steps):
         try:  # a step raises ValueError only from the finite check on its proposal
             if cache is None:
@@ -229,21 +222,5 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
         energies.append(log_g)
         accepted.append(acc)
         if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
-            if on_sample is None:
-                samples.append(state.copy())
-            else:
-                on_sample(state)
-    return ChainTrace(samples=samples, energies=np.array(energies), accepted=np.array(accepted))
-
-
-def mcmc_predict(trace: ChainTrace, i: int, j: int, scale: RatingScale) -> float:
-    """Posterior-predictive mean rating for one (user, item) pair."""
-    return float(mcmc_predict_batch(trace, np.array([i]), np.array([j]), scale)[0])
-
-
-def mcmc_predict_batch(trace: ChainTrace, user_idx, item_idx, scale: RatingScale):
-    """Posterior-predictive mean ratings for paired index arrays."""
-    mean = PosteriorMean(user_idx, item_idx)
-    for state in trace.samples:
-        mean.add(state)
-    return mean.ratings(scale)
+            on_sample(state)
+    return ChainTrace(energies=np.array(energies), accepted=np.array(accepted))

@@ -113,9 +113,6 @@ class LatentState:
     def k(self) -> int:
         return self.u.shape[1]
 
-    def copy(self) -> "LatentState":
-        return LatentState(self.u.copy(), self.v.copy())
-
 
 @dataclass(frozen=True)
 class ModelHyperparams:
@@ -125,8 +122,9 @@ class ModelHyperparams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0 < self.sigma2 < np.inf:
-            raise ValueError("sigma2 must be finite and positive")
+        # the likelihood's normalizer takes log(2 pi sigma2), which must not overflow
+        if not (self.sigma2 > 0 and np.isfinite(2.0 * np.pi * float(self.sigma2))):
+            raise ValueError("sigma2 must be positive, with 2 * pi * sigma2 finite")
 
 
 def sigmoid(x):
@@ -213,9 +211,8 @@ class PosteriorMean:
     """Running posterior-predictive mean of sigmoid(u.v) for fixed pairs.
 
     ``add`` takes one posterior sample; ``ratings`` is the mean over the
-    samples added so far, on the original rating scale. Summing in the
-    order samples are added makes a streamed mean equal, bit for bit, to
-    one taken over a stored trace in the same order.
+    samples added so far, on the original rating scale. Each sample is
+    summed as it is added, so none needs to be kept.
     """
 
     def __init__(self, user_idx, item_idx):

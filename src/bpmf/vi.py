@@ -101,7 +101,7 @@ def draw_noise(params: VariationalParams, mc_samples: int, rng):
 
 
 def elbo_with_noise(params: VariationalParams, data: RatingDataset,
-                    hp: ModelHyperparams, noise, _buffers=None):
+                    hp: ModelHyperparams, noise, buffers):
     """ELBO estimate and its pathwise gradient for explicit base noise.
 
     The KL-to-prior part is analytic; only the likelihood expectation is
@@ -116,7 +116,6 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
     )
     loglik = 0.0
     by_user, by_item = data.incidence
-    buffers = _buffers if _buffers is not None else dot_buffers(data.n_ratings, params.k)
     u_rows, v_rows, _ = buffers
     ii, jj, rr = data.user_idx, data.item_idx, data.rating
     for eps_u, eps_v in noise:
@@ -148,14 +147,14 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
 
 
 def elbo_value_with_noise(params: VariationalParams, data: RatingDataset,
-                          hp: ModelHyperparams, noise, _buffers=None) -> float:
+                          hp: ModelHyperparams, noise, buffers=None) -> float:
     """ELBO estimate only (no gradient work) for explicit base noise:
     the noise-averaged model log likelihood minus the analytic KL."""
     s_u = np.exp(params.log_s_u)
     s_v = np.exp(params.log_s_v)
     loglik = sum(
         log_likelihood_sum(params.mu_u + s_u * eps_u, params.mu_v + s_v * eps_v,
-                           data, hp.sigma2, _buffers)
+                           data, hp.sigma2, buffers)
         for eps_u, eps_v in noise
     )
     return float(loglik / len(noise) - _total_kl(params))
@@ -189,14 +188,14 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             noise = draw_noise(params, cfg.mc_samples, rng)
-            value, grad = elbo_with_noise(params, data, hp, noise, _buffers=buffers)
+            value, grad = elbo_with_noise(params, data, hp, noise, buffers)
             if not np.isfinite(value):
                 raise DivergenceError("ELBO became non-finite (reduce learning_rate)", epoch)
             params.mu_u += cfg.learning_rate * grad.mu_u
             params.log_s_u += cfg.learning_rate * grad.log_s_u
             params.mu_v += cfg.learning_rate * grad.mu_v
             params.log_s_v += cfg.learning_rate * grad.log_s_v
-            trace.append(elbo_value_with_noise(params, data, hp, monitor, _buffers=buffers))
+            trace.append(elbo_value_with_noise(params, data, hp, monitor, buffers))
     return params, trace
 
 

@@ -7,6 +7,7 @@ generates (and caches) a surrogate file with the same shape: 610 users,
 9,724 movies, 100,836 half-star ratings.
 """
 
+import copy
 import os
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from bpmf.data import build_dataset, load_ratings
+from bpmf.mcmc import run_chain
 from bpmf.model import RatingDataset, RatingScale, denormalize_rating, sigmoid
 from bpmf.synthetic import write_ratings_csv
 
@@ -66,6 +68,14 @@ def make_dataset(n_users, n_items, n_ratings, seed=0, k_true=2):
         rating=rating,
         scale=RatingScale(5),
     )
+
+
+def retained_states(data, hp, cfg):
+    """Run a chain and keep a copy of each state it passes to ``on_sample``;
+    returns (trace, states)."""
+    states = []
+    trace = run_chain(data, hp, cfg, lambda state: states.append(copy.deepcopy(state)))
+    return trace, states
 
 
 @pytest.fixture

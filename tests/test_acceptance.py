@@ -9,6 +9,7 @@ under test itself.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import copy
 import time
 
 import numpy as np
@@ -23,13 +24,15 @@ from bpmf.evaluate import (
     rmse,
     run_experiment,
 )
-from bpmf.mcmc import McmcConfig, mcmc_predict, run_chain
+from bpmf.mcmc import McmcConfig, run_chain
 from bpmf.model import (
     LatentState,
     ModelHyperparams,
+    PosteriorMean,
     RatingDataset,
     RatingScale,
     denormalize_rating,
+    dot_buffers,
     sigmoid,
 )
 from bpmf.vi import (
@@ -42,7 +45,7 @@ from bpmf.vi import (
     vi_train,
 )
 
-from conftest import discrete_mh_kernel, make_dataset
+from conftest import discrete_mh_kernel, make_dataset, retained_states
 
 
 def report_line(number, ok, detail):
@@ -156,8 +159,9 @@ def test_criterion_1_mcmc_oracle_equivalence():
     start = time.perf_counter()
     cfg = McmcConfig(n_steps=50_000, burn_in=10_000, thin=10, proposal_std=0.5, seed=0,
                      proposal="joint")
-    trace = run_chain(data, hp, cfg)
-    prediction = mcmc_predict(trace, 0, 0, data.scale)
+    mean = PosteriorMean(np.array([0]), np.array([0]))
+    run_chain(data, hp, cfg, mean.add)
+    prediction = float(mean.ratings(data.scale)[0])
     elapsed = time.perf_counter() - start
 
     err = abs(prediction - oracle_rating)
@@ -251,15 +255,16 @@ def test_criterion_4_gradient_checks():
             rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)),
         )
         noise = draw_noise(params, 2, np.random.default_rng(2000 + seed))
-        _, grad = elbo_with_noise(params, data, hp, noise)
+        buffers = dot_buffers(data.n_ratings, hp.k)
+        _, grad = elbo_with_noise(params, data, hp, noise, buffers)
         for name in ("mu_u", "log_s_u", "mu_v", "log_s_v"):
             block = getattr(params, name)
             for idx in np.ndindex(block.shape):
                 up, down = params.copy(), params.copy()
                 getattr(up, name)[idx] += step
                 getattr(down, name)[idx] -= step
-                fd = (elbo_with_noise(up, data, hp, noise)[0]
-                      - elbo_with_noise(down, data, hp, noise)[0]) / (2 * step)
+                fd = (elbo_with_noise(up, data, hp, noise, buffers)[0]
+                      - elbo_with_noise(down, data, hp, noise, buffers)[0]) / (2 * step)
                 denom = max(abs(fd), 1e-3)
                 worst_vi = max(worst_vi, abs(getattr(grad, name)[idx] - fd) / denom)
 
@@ -269,10 +274,10 @@ def test_criterion_4_gradient_checks():
         cfg = MfConfig(alpha=0.003)
         rng = np.random.default_rng(3000 + seed)
         state = LatentState(rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)))
-        new = mf_epoch(state, data, cfg)
+        new = mf_epoch(state, data, cfg, dot_buffers(data.n_ratings, state.k))
         for i in range(3):
             for c in range(2):
-                up, down = state.copy(), state.copy()
+                up, down = copy.deepcopy(state), copy.deepcopy(state)
                 up.u[i, c] += step
                 down.u[i, c] -= step
                 fd = (mf_loss(up, data) - mf_loss(down, data)) / (2 * step)
@@ -375,9 +380,9 @@ def test_criterion_9_prior_sampling_sanity():
     hp = ModelHyperparams(3, 1.0)
     cfg = McmcConfig(n_steps=30_000, burn_in=5_000, thin=10, proposal_std=0.6, seed=0,
                      proposal="joint")
-    trace = run_chain(empty, hp, cfg)
+    _, samples = retained_states(empty, hp, cfg)
     series = np.stack(
-        [np.concatenate([s.u.ravel(), s.v.ravel()]) for s in trace.samples]
+        [np.concatenate([s.u.ravel(), s.v.ravel()]) for s in samples]
     )
     n_batches = 25
     batches = series[: (len(series) // n_batches) * n_batches]

@@ -1,11 +1,13 @@
 """Tests for the gradient-descent matrix factorization baseline."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from bpmf.baseline import MfConfig, init_state, mf_epoch, mf_loss, mf_train
 from bpmf.errors import DivergenceError
-from bpmf.model import LatentState, ModelHyperparams, RatingDataset, RatingScale
+from bpmf.model import LatentState, ModelHyperparams, RatingDataset, RatingScale, dot_buffers
 
 from conftest import make_dataset
 
@@ -40,14 +42,14 @@ class TestMfEpoch:
     def test_empty_observations_no_change(self):
         data = _dataset(2, 2, [], [], [])
         state = LatentState(np.ones((2, 2)), np.ones((2, 2)))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), dot_buffers(0, 2))
         np.testing.assert_array_equal(new.u, state.u)
         np.testing.assert_array_equal(new.v, state.v)
 
     def test_fixed_point_at_exact_fit(self):
         data = _dataset(1, 1, [0], [0], [1.0])
         state = LatentState(np.array([[1.0]]), np.array([[1.0]]))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), dot_buffers(1, 1))
         assert new.u[0, 0] == 1.0
         assert new.v[0, 0] == 1.0
 
@@ -55,7 +57,7 @@ class TestMfEpoch:
         # v=0 kills the u-gradient; v then moves using the unchanged u
         data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.array([[1.0]]), np.array([[0.0]]))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), dot_buffers(1, 1))
         assert new.u[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert new.v[0, 0] == pytest.approx(0.05, abs=1e-15)
 
@@ -66,12 +68,12 @@ class TestMfEpoch:
         data = make_dataset(3, 3, 6, seed=1, k_true=2)
         cfg = MfConfig(alpha=0.003)
         state = LatentState(rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)))
-        new = mf_epoch(state, data, cfg)
+        new = mf_epoch(state, data, cfg, dot_buffers(6, 2))
         step = 1e-5
         for i in range(3):
             for c in range(2):
-                up = state.copy()
-                down = state.copy()
+                up = copy.deepcopy(state)
+                down = copy.deepcopy(state)
                 up.u[i, c] += step
                 down.u[i, c] -= step
                 fd = (mf_loss(up, data) - mf_loss(down, data)) / (2 * step)
@@ -90,8 +92,8 @@ class TestMfEpoch:
         )
         state = init_state(4, 5, 2, MfConfig(seed=5))
         cfg = MfConfig(alpha=0.01)
-        a = mf_epoch(state, data, cfg)
-        b = mf_epoch(state, shuffled, cfg)
+        a = mf_epoch(state, data, cfg, dot_buffers(12, 2))
+        b = mf_epoch(state, shuffled, cfg, dot_buffers(12, 2))
         np.testing.assert_allclose(a.u, b.u, atol=1e-9)
         np.testing.assert_allclose(a.v, b.v, atol=1e-9)
 

@@ -137,12 +137,16 @@ class TestRun:
     def test_negative_seed_is_usage_error_on_every_engine(self, engine, flag, tmp_path, capsys):
         assert_usage_error_before_loading(tmp_path, capsys, engine, flag, "-1")
 
-    @pytest.mark.parametrize("engine,flag", [
-        ("vi", "--sigma2"), ("vi", "--lr"), ("mf", "--sigma2"), ("mf", "--lr"),
-        ("mcmc", "--sigma2"), ("mcmc", "--proposal-std"),
-    ])
-    def test_infinite_float_setting_is_usage_error(self, engine, flag, tmp_path, capsys):
-        assert_usage_error_before_loading(tmp_path, capsys, engine, flag, "inf")
+    @pytest.mark.parametrize("engine,flag,value", [
+        ("vi", "--sigma2", "inf"), ("vi", "--lr", "inf"), ("mf", "--sigma2", "inf"),
+        ("mf", "--lr", "inf"), ("mcmc", "--sigma2", "inf"), ("mcmc", "--proposal-std", "inf"),
+        # finite, but log(2 pi sigma2) overflows
+        ("vi", "--sigma2", "1e308"), ("mf", "--sigma2", "1e308"), ("mcmc", "--sigma2", "1e308"),
+    ], ids=["vi---sigma2", "vi---lr", "mf---sigma2", "mf---lr", "mcmc---sigma2",
+            "mcmc---proposal-std", "vi---sigma2-1e308", "mf---sigma2-1e308",
+            "mcmc---sigma2-1e308"])
+    def test_infinite_float_setting_is_usage_error(self, engine, flag, value, tmp_path, capsys):
+        assert_usage_error_before_loading(tmp_path, capsys, engine, flag, value)
 
     def test_chain_length_past_float_range_is_usage_error(self, tmp_path, capsys):
         # the default burn-in is 60% of the steps, computed in floating point

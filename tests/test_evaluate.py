@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bpmf import evaluate
-from bpmf.baseline import MfConfig
+from bpmf.baseline import MfConfig, mf_train
 from bpmf.data import build_dataset, load_ratings, split_dataset
 from bpmf.errors import BpmfError, DataFormatError
 from bpmf.evaluate import (
@@ -24,7 +24,7 @@ from bpmf.evaluate import (
 from bpmf.mcmc import McmcConfig, run_chain
 from bpmf.model import (LatentState, ModelHyperparams, PosteriorMean, RatingDataset,
                         RatingScale, denormalize_rating)
-from bpmf.vi import ViConfig
+from bpmf.vi import ViConfig, vi_train
 
 from conftest import make_dataset
 
@@ -230,7 +230,7 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig(engine=engine, data_path=str(ratings_small_csv),
                                         output_dir=str(out), k=5,
                                         engine_config=engine_config))
-        assert widths == [5, 5]
+        assert widths == [5]
         assert json.loads((out / "report.json").read_text())["config"]["k"] == 5
 
     @pytest.mark.parametrize("engine,engine_config", [
@@ -250,34 +250,51 @@ class TestRunExperiment:
         assert isinstance(on_disk["peak_rss_mb"], float) and on_disk["peak_rss_mb"] > 0
         assert ExperimentReport.from_dict(on_disk) == report
 
-    def test_mcmc_streams_predictions_without_keeping_samples(self, ratings_small_csv,
-                                                              tmp_path, monkeypatch):
-        engine_config = McmcConfig(n_steps=80, thin=3)
-        cfg = ExperimentConfig(engine="mcmc", data_path=str(ratings_small_csv),
-                               output_dir=str(tmp_path / "out"), k=3,
-                               engine_config=engine_config)
+    @pytest.mark.parametrize("engine,engine_config", [
+        ("vi", ViConfig(epochs=15)), ("mf", MfConfig(epochs=20)),
+        ("mcmc", McmcConfig(n_steps=80, thin=3)),
+    ], ids=["vi", "mf", "mcmc"])
+    def test_one_pass_scores_equal_each_part_scored_alone(self, engine, engine_config,
+                                                          ratings_small_csv, tmp_path,
+                                                          monkeypatch):
+        batches = []
+        predict_batch = evaluate.vi_predict_batch
 
-        def no_copies(self):
-            raise AssertionError("run_experiment copied a chain state")
+        def counted(*args):
+            batches.append(args)
+            return predict_batch(*args)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(LatentState, "copy", no_copies)
-            report = run_experiment(cfg)
+        monkeypatch.setattr(evaluate, "vi_predict_batch", counted)
+        report = run_experiment(ExperimentConfig(engine=engine, data_path=str(ratings_small_csv),
+                                                 output_dir=str(tmp_path / "out"), k=3,
+                                                 engine_config=engine_config))
+        # VI draws its posterior samples once, for validation and test together
+        assert len(batches) == (engine == "vi")
 
-        # the same numbers as predicting from a chain that keeps its samples
+        # the same numbers as training again and scoring validation and test apart
         raw, scale = load_ratings(ratings_small_csv)
-        data, maps = build_dataset(raw, scale)
-        split = split_dataset(data, maps=maps)
-        trace = run_chain(split.train, ModelHyperparams(3, 0.25), engine_config)
-        assert len(trace.samples) > 1
+        data, _ = build_dataset(raw, scale)
+        split = split_dataset(data)
+        hp = ModelHyperparams(3, 0.25)
+        parts = (split.validation, split.test)
+        if engine == "mcmc":
+            results = [PosteriorMean(part.user_idx, part.item_idx) for part in parts]
+
+            def on_sample(state):
+                for mean in results:
+                    mean.add(state)
+
+            run_chain(split.train, hp, engine_config, on_sample)
+        else:
+            train = mf_train if engine == "mf" else vi_train
+            results = [train(split.train, hp, engine_config)[0]] * 2
         fallback = global_mean_rating(split.train)
-        for part, got in ((split.validation, report.rmse_validation),
-                          (split.test, report.rmse_test)):
-            mean = PosteriorMean(part.user_idx, part.item_idx)
-            for state in trace.samples:
-                mean.add(state)
-            preds, _ = predict_all(mean, part, split.train, fallback)
+        cold_total = 0
+        for part, result, got in zip(parts, results, (report.rmse_validation, report.rmse_test)):
+            preds, cold = predict_all(result, part, split.train, fallback)
             assert got == rmse(preds, denormalize_rating(part.rating, scale))
+            cold_total += cold
+        assert report.cold_start_count == cold_total
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(BpmfError):

@@ -1,18 +1,17 @@
 """Tests for the Metropolis-Hastings engine: kernel correctness,
 chain mechanics, determinism, and prior-sampling sanity."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from bpmf import mcmc
 from bpmf.errors import BpmfError, DivergenceError
 from bpmf.mcmc import (
-    ChainTrace,
     McmcConfig,
     RowwiseCache,
     acceptance_ratio,
-    mcmc_predict,
-    mcmc_predict_batch,
     mh_step,
     row_log_ratios,
     rowwise_sweep,
@@ -31,7 +30,7 @@ from bpmf.model import (
     sigmoid,
 )
 
-from conftest import discrete_mh_kernel, make_dataset, predict_point
+from conftest import discrete_mh_kernel, make_dataset, predict_point, retained_states
 from test_acceptance import quadrature_1x1
 
 
@@ -153,7 +152,7 @@ class TestMhStep:
     def test_moderate_acceptance_rate(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
         cfg = joint(n_steps=10_000, burn_in=0, proposal_std=0.5, seed=0)
-        trace = run_chain(tiny_dataset, hp, cfg)
+        trace = run_chain(tiny_dataset, hp, cfg, lambda state: None)
         assert 0.05 < trace.acceptance_rate < 0.95
 
 
@@ -161,15 +160,15 @@ class TestRunChain:
     def test_retained_sample_count(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
         cfg = joint(n_steps=10, burn_in=5, thin=5, proposal_std=0.5)
-        trace = run_chain(tiny_dataset, hp, cfg)
-        assert len(trace.samples) == 1
+        trace, states = retained_states(tiny_dataset, hp, cfg)
+        assert len(states) == 1
         assert trace.step_count == 10
 
     def test_deterministic_energies(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
         cfg = joint(n_steps=200, burn_in=100, proposal_std=0.5, seed=3)
-        a = run_chain(tiny_dataset, hp, cfg)
-        b = run_chain(tiny_dataset, hp, cfg)
+        a = run_chain(tiny_dataset, hp, cfg, lambda state: None)
+        b = run_chain(tiny_dataset, hp, cfg, lambda state: None)
         np.testing.assert_array_equal(a.energies, b.energies)
         np.testing.assert_array_equal(a.accepted, b.accepted)
 
@@ -190,22 +189,22 @@ class TestRunChain:
         monkeypatch.setattr(mcmc, "rowwise_sweep", three_sweeps)
         cfg = McmcConfig(n_steps=10**30, burn_in=0, proposal="rowwise", proposal_std=0.5)
         with pytest.raises(Stop):
-            run_chain(tiny_dataset, ModelHyperparams(1, 0.1), cfg)
+            run_chain(tiny_dataset, ModelHyperparams(1, 0.1), cfg, lambda state: None)
         assert len(calls) == 4
 
     def test_energies_always_finite(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
         cfg = joint(n_steps=3000, burn_in=0, proposal_std=1.0, seed=5)
-        trace = run_chain(tiny_dataset, hp, cfg)
+        trace = run_chain(tiny_dataset, hp, cfg, lambda state: None)
         assert np.isfinite(trace.energies).all()
 
     def test_prior_chain_moments(self, empty_dataset):
         # with no observations the posterior is the standard-normal prior
         hp = ModelHyperparams(3, 1.0)
         cfg = joint(n_steps=30_000, burn_in=5_000, thin=10, proposal_std=0.6, seed=0)
-        trace = run_chain(empty_dataset, hp, cfg)
+        _, states = retained_states(empty_dataset, hp, cfg)
         series = np.stack(
-            [np.concatenate([s.u.ravel(), s.v.ravel()]) for s in trace.samples]
+            [np.concatenate([s.u.ravel(), s.v.ravel()]) for s in states]
         )
         assert series.size >= 20_000
         # batch-means standard error absorbs residual autocorrelation
@@ -242,7 +241,7 @@ def rowwise(**kw):
 
 
 def moved_row(state, side, i, row):
-    moved = state.copy()
+    moved = copy.deepcopy(state)
     getattr(moved, side)[i] = row
     return moved
 
@@ -281,13 +280,13 @@ class TestRowwiseKernel:
         cfg = rowwise(n_steps=1, burn_in=0, proposal_std=0.8)
         init = np.random.default_rng(4)
         state = LatentState(init.normal(size=(4, 2)), init.normal(size=(5, 2)))
-        before = state.copy()
+        before = copy.deepcopy(state)
         rng = RecordingRng(5)
         frac, log_g = rowwise_sweep(state, data, hp, cfg, rng,
                                     RowwiseCache.for_state(before, data),
                                     log_joint(before, data, hp))
 
-        expect = before.copy()
+        expect = copy.deepcopy(before)
         n_accepted = 0
         for side, noise, uniform in zip("uv", rng.normals, rng.uniforms):
             rows = getattr(expect, side).copy()  # the other block is held fixed
@@ -306,8 +305,9 @@ class TestRowwiseKernel:
     def test_energies_are_log_joint_of_retained_states(self):
         data = make_dataset(6, 7, 20, seed=2)
         hp = ModelHyperparams(2, 0.25)
-        trace = run_chain(data, hp, rowwise(n_steps=2000, burn_in=0, thin=1, proposal_std=0.5))
-        exact = [log_joint(s, data, hp) for s in trace.samples]
+        trace, states = retained_states(data, hp, rowwise(n_steps=2000, burn_in=0, thin=1,
+                                                          proposal_std=0.5))
+        exact = [log_joint(s, data, hp) for s in states]
         np.testing.assert_allclose(trace.energies, exact, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -316,20 +316,22 @@ class TestRowwiseKernel:
         hp = ModelHyperparams(k=1, sigma2=0.1)
         oracle = denormalize_rating(quadrature_1x1(0.8, 0.1)[0], tiny_dataset.scale)
         cfg = rowwise(n_steps=50_000, burn_in=10_000, thin=10, proposal_std=0.5, seed=seed)
-        prediction = mcmc_predict(run_chain(tiny_dataset, hp, cfg), 0, 0, tiny_dataset.scale)
+        mean = PosteriorMean(np.array([0]), np.array([0]))
+        run_chain(tiny_dataset, hp, cfg, mean.add)
+        prediction = mean.ratings(tiny_dataset.scale)[0]
         assert abs(prediction - oracle) / tiny_dataset.scale.span < 0.02
 
     def test_prior_second_moment(self, empty_dataset):
         hp = ModelHyperparams(3, 1.0)
-        trace = run_chain(empty_dataset, hp, rowwise(n_steps=20_000, burn_in=2_000,
-                                                     thin=10, proposal_std=0.6))
-        series = np.stack([np.concatenate([s.u.ravel(), s.v.ravel()]) for s in trace.samples])
+        _, states = retained_states(empty_dataset, hp, rowwise(n_steps=20_000, burn_in=2_000,
+                                                               thin=10, proposal_std=0.6))
+        series = np.stack([np.concatenate([s.u.ravel(), s.v.ravel()]) for s in states])
         assert np.mean(series**2) == pytest.approx(1.0, rel=0.10)
 
     def test_acceptance_is_a_fraction_per_sweep(self):
         data = make_dataset(6, 7, 20, seed=2)
         trace = run_chain(data, ModelHyperparams(2, 0.25),
-                          rowwise(n_steps=300, burn_in=0, proposal_std=0.5))
+                          rowwise(n_steps=300, burn_in=0, proposal_std=0.5), lambda state: None)
         counts = trace.accepted * (6 + 7)
         np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
         assert np.all((trace.accepted >= 0.0) & (trace.accepted <= 1.0))
@@ -340,25 +342,25 @@ class TestRowwiseKernel:
     def test_deterministic(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
         cfg = rowwise(n_steps=200, burn_in=100, proposal_std=0.5, seed=3)
-        a, b = run_chain(tiny_dataset, hp, cfg), run_chain(tiny_dataset, hp, cfg)
+        a = run_chain(tiny_dataset, hp, cfg, lambda state: None)
+        b = run_chain(tiny_dataset, hp, cfg, lambda state: None)
         np.testing.assert_array_equal(a.energies, b.energies)
         np.testing.assert_array_equal(a.accepted, b.accepted)
 
     def test_non_finite_proposal_raises(self, tiny_dataset):
         cfg = rowwise(n_steps=5, burn_in=0, proposal_std=1e308)
         with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
-            run_chain(tiny_dataset, ModelHyperparams(1, 0.1), cfg)
+            run_chain(tiny_dataset, ModelHyperparams(1, 0.1), cfg, lambda state: None)
         assert 0 <= err.value.epoch < cfg.n_steps
 
 
 class TestMcmcPredict:
     def test_single_sample_matches_point_prediction(self, tiny_dataset):
         state = LatentState(np.array([[0.4]]), np.array([[0.9]]))
-        trace = ChainTrace(
-            samples=[state], energies=np.zeros(1), accepted=np.ones(1, dtype=bool)
-        )
+        mean = PosteriorMean(np.array([0]), np.array([0]))
+        mean.add(state)
         expected = predict_point(state.u[0], state.v[0], tiny_dataset.scale)
-        assert mcmc_predict(trace, 0, 0, tiny_dataset.scale) == pytest.approx(expected)
+        assert mean.ratings(tiny_dataset.scale)[0] == pytest.approx(expected)
 
     def test_two_sample_average(self):
         # sigmoid values 0.2 and 0.8 average to 0.5, i.e. rating 3 on 1..5
@@ -367,15 +369,15 @@ class TestMcmcPredict:
         scale = RatingScale(5)
         s1 = LatentState(np.array([[1.0]]), np.array([[logit(0.2)]]))
         s2 = LatentState(np.array([[1.0]]), np.array([[logit(0.8)]]))
-        trace = ChainTrace(
-            samples=[s1, s2], energies=np.zeros(2), accepted=np.ones(2, dtype=bool)
-        )
-        assert mcmc_predict(trace, 0, 0, scale) == pytest.approx(3.0, abs=1e-9)
+        mean = PosteriorMean(np.array([0]), np.array([0]))
+        mean.add(s1)
+        mean.add(s2)
+        assert mean.ratings(scale)[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_empty_trace_errors(self):
-        trace = ChainTrace(samples=[], energies=np.zeros(0), accepted=np.zeros(0, dtype=bool))
+        mean = PosteriorMean(np.array([0]), np.array([0]))
         with pytest.raises(BpmfError):
-            mcmc_predict(trace, 0, 0, RatingScale(5))
+            mean.ratings(RatingScale(5))
 
 
 class TestStreamedPosteriorMean:
@@ -387,32 +389,31 @@ class TestStreamedPosteriorMean:
     def test_streamed_mean_equals_stored_trace(self, cfg):
         data = make_dataset(12, 15, 60, seed=4)
         hp = ModelHyperparams(3, 0.25)
-        # two held-out pair sets, as run_experiment streams validation and test
+        # two held-out pair sets, each with its own running mean
         held_out = [make_dataset(12, 15, n, seed=seed) for n, seed in ((30, 5), (25, 6))]
         means = [PosteriorMean(part.user_idx, part.item_idx) for part in held_out]
         seen = []
 
         def on_sample(state):
-            seen.append(state.copy())
+            seen.append(copy.deepcopy(state))
             for mean in means:
                 mean.add(state)
 
-        streamed = run_chain(data, hp, cfg, on_sample=on_sample)
-        stored = run_chain(data, hp, cfg)
-        assert streamed.samples == [] and len(seen) == len(stored.samples) > 1
+        streamed = run_chain(data, hp, cfg, on_sample)
+        # the same chain with an on_sample that only keeps copies
+        stored, kept_states = retained_states(data, hp, cfg)
+        assert not hasattr(streamed, "samples") and len(seen) == len(kept_states) > 1
         np.testing.assert_array_equal(streamed.energies, stored.energies)
         np.testing.assert_array_equal(streamed.accepted, stored.accepted)
-        for got, kept in zip(seen, stored.samples):
+        for got, kept in zip(seen, kept_states):
             assert np.array_equal(got.u, kept.u) and np.array_equal(got.v, kept.v)
         for mean, part in zip(means, held_out):
             # the summation of the predictor before it was streamed, as the reference
             total = np.zeros(part.n_ratings)
-            for state in stored.samples:
+            for state in kept_states:
                 total += sigmoid(row_dots(state.u, state.v, part.user_idx, part.item_idx))
-            reference = denormalize_rating(total / len(stored.samples), data.scale)
-            batch = mcmc_predict_batch(stored, part.user_idx, part.item_idx, data.scale)
+            reference = denormalize_rating(total / len(kept_states), data.scale)
             assert np.array_equal(mean.ratings(data.scale), reference)
-            assert np.array_equal(batch, reference)
 
 
 class TestConfigValidation:

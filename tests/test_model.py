@@ -129,6 +129,21 @@ class TestLogLikelihoodEntry:
             log_likelihood_entry(np.zeros(2), np.zeros(3), 0.5, 1.0)
 
 
+class TestModelHyperparams:
+    @pytest.mark.filterwarnings("error")  # a numpy scalar must not overflow in the check
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.inf, math.nan, 1e308, 2.9e307,
+                                        np.float64(1e308)])
+    def test_rejects_sigma2_whose_normalizer_overflows(self, sigma2):
+        # log(2 pi sigma2) is infinite from about 2.86e307 on
+        with pytest.raises(ValueError):
+            ModelHyperparams(1, sigma2)
+
+    def test_largest_sigma2_gives_finite_log_joint(self):
+        data = RatingDataset(1, 1, [0], [0], [0.5], RatingScale(5))
+        state = LatentState(np.zeros((1, 1)), np.zeros((1, 1)))
+        assert math.isfinite(log_joint(state, data, ModelHyperparams(1, 2.8e307)))
+
+
 class TestLogJoint:
     def test_prior_only_origin(self, ):
         data = RatingDataset(1, 1, [], [], [], RatingScale(5))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from bpmf.errors import DivergenceError
-from bpmf.model import LatentState, ModelHyperparams, PosteriorMean, RatingDataset, RatingScale
+from bpmf.model import (LatentState, ModelHyperparams, PosteriorMean, RatingDataset, RatingScale,
+                        dot_buffers)
 from bpmf.vi import (
     PREDICT_SAMPLES,
     VariationalParams,
@@ -85,14 +86,14 @@ class TestElboEstimate:
         rng = np.random.default_rng(5)
         params = random_params(3, 4, 3, rng)
         noise = draw_noise(params, 2, np.random.default_rng(7))
-        base, _ = elbo_with_noise(params, data, hp, noise)
+        base, _ = elbo_with_noise(params, data, hp, noise, dot_buffers(6, 3))
         perm = [2, 0, 1]
         permuted = VariationalParams(
             params.mu_u[:, perm], params.log_s_u[:, perm],
             params.mu_v[:, perm], params.log_s_v[:, perm],
         )
         permuted_noise = [(eu[:, perm], ev[:, perm]) for eu, ev in noise]
-        val, _ = elbo_with_noise(permuted, data, hp, permuted_noise)
+        val, _ = elbo_with_noise(permuted, data, hp, permuted_noise, dot_buffers(6, 3))
         assert val == pytest.approx(base, abs=1e-9)
 
 
@@ -104,7 +105,7 @@ class TestElboGradient:
         params.mu_u[0, 0] = 0.3
         hp = ModelHyperparams(2, 0.25)
         noise = draw_noise(params, 1, np.random.default_rng(0))
-        _, grad = elbo_with_noise(params, empty_dataset, hp, noise)
+        _, grad = elbo_with_noise(params, empty_dataset, hp, noise, dot_buffers(0, 2))
         assert grad.mu_u[0, 0] == pytest.approx(-0.3, abs=1e-12)
         assert grad.log_s_u[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -114,7 +115,7 @@ class TestElboGradient:
         )
         hp = ModelHyperparams(2, 0.25)
         noise = draw_noise(params, 1, np.random.default_rng(0))
-        _, grad = elbo_with_noise(params, empty_dataset, hp, noise)
+        _, grad = elbo_with_noise(params, empty_dataset, hp, noise, dot_buffers(0, 2))
         for block in (grad.mu_u, grad.log_s_u, grad.mu_v, grad.log_s_v):
             np.testing.assert_allclose(block, 0.0, atol=1e-12)
 
@@ -125,7 +126,8 @@ class TestElboGradient:
         rng = np.random.default_rng(100 + seed)
         params = random_params(2, 2, 2, rng)
         noise = draw_noise(params, 2, np.random.default_rng(200 + seed))
-        _, grad = elbo_with_noise(params, data, hp, noise)
+        buffers = dot_buffers(3, 2)
+        _, grad = elbo_with_noise(params, data, hp, noise, buffers)
 
         step = 1e-5
         for name in ("mu_u", "log_s_u", "mu_v", "log_s_v"):
@@ -136,8 +138,8 @@ class TestElboGradient:
                 down = params.copy()
                 getattr(up, name)[idx] += step
                 getattr(down, name)[idx] -= step
-                f_up, _ = elbo_with_noise(up, data, hp, noise)
-                f_down, _ = elbo_with_noise(down, data, hp, noise)
+                f_up, _ = elbo_with_noise(up, data, hp, noise, buffers)
+                f_down, _ = elbo_with_noise(down, data, hp, noise, buffers)
                 fd = (f_up - f_down) / (2 * step)
                 assert grad_block[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
