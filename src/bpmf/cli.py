@@ -10,11 +10,17 @@ import json
 import os
 import sys
 
-from .baseline import MfConfig
 from .errors import BpmfError, DataFormatError, UsageError
-from .evaluate import ENGINES, ExperimentConfig, ExperimentReport, compare, run_experiment
-from .mcmc import McmcConfig
-from .vi import ViConfig
+from .evaluate import (DEFAULT_CONFIGS, ENGINES, ExperimentConfig, ExperimentReport, compare,
+                       run_experiment)
+
+# the engine flags each engine takes: argparse dest -> engine config field
+ENGINE_FLAGS = {
+    "mf": {"lr": "alpha", "epochs": "epochs", "seed": "seed"},
+    "mcmc": {"n_steps": "n_steps", "burn_in": "burn_in", "thin": "thin",
+             "proposal_std": "proposal_std", "seed": "seed"},
+    "vi": {"lr": "learning_rate", "epochs": "epochs", "mc_samples": "mc_samples", "seed": "seed"},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,13 +75,15 @@ def _check_paths(*paths):
 
 
 def _engine_config(args):
-    if args.engine == "mf":
-        return MfConfig(**_given(alpha=args.lr, epochs=args.epochs, seed=args.seed))
-    if args.engine == "mcmc":
-        return McmcConfig(**_given(n_steps=args.n_steps, burn_in=args.burn_in, thin=args.thin,
-                                   proposal_std=args.proposal_std, seed=args.seed))
-    return ViConfig(**_given(learning_rate=args.lr, epochs=args.epochs,
-                             mc_samples=args.mc_samples, seed=args.seed))
+    """The chosen engine's config; ValueError for a flag only other engines take."""
+    flags = ENGINE_FLAGS[args.engine]
+    others = set().union(*ENGINE_FLAGS.values()) - flags.keys()
+    stray = [f"--{dest.replace('_', '-')}" for dest, value in vars(args).items()
+             if dest in others and value is not None]
+    if stray:
+        raise ValueError(f"--engine {args.engine} does not take {', '.join(stray)}")
+    return DEFAULT_CONFIGS[args.engine](
+        **_given(**{field: getattr(args, dest) for dest, field in flags.items()}))
 
 
 def _cmd_run(args) -> int:

@@ -50,6 +50,8 @@ class SplitDataset:
     train: RatingDataset
     validation: RatingDataset
     test: RatingDataset
+    # validation then test: the pairs a run is scored on
+    held_out: RatingDataset
     maps: IdMaps | None = None
 
 
@@ -226,8 +228,10 @@ def split_dataset(data: RatingDataset, seed: int = 0, maps: IdMaps | None = None
 
     The triple order is permuted with a seeded PCG64 generator and cut at
     floor(L*train) and floor(L*(train+val)), the shares of
-    ``SPLIT_FRACTIONS``; all three parts keep the full (n_users,
-    n_items) dimensions and the original scale.
+    ``SPLIT_FRACTIONS``; all parts keep the full (n_users, n_items)
+    dimensions and the original scale. Each column is gathered by the
+    permutation once, and every part, ``held_out`` included, is a slice
+    of that one copy, checked as a ``RatingDataset``.
     """
     f_train, f_val, _ = SPLIT_FRACTIONS
     length = data.n_ratings
@@ -237,17 +241,8 @@ def split_dataset(data: RatingDataset, seed: int = 0, maps: IdMaps | None = None
     perm = np.random.default_rng(seed).permutation(length)
     cut1 = int(math.floor(length * f_train))
     cut2 = int(math.floor(length * (f_train + f_val)))
-
-    def part(indices):
-        return RatingDataset(
-            data.n_users, data.n_items,
-            data.user_idx[indices], data.item_idx[indices], data.rating[indices],
-            data.scale,
-        )
-
-    return SplitDataset(
-        train=part(perm[:cut1]),
-        validation=part(perm[cut1:cut2]),
-        test=part(perm[cut2:]),
-        maps=maps,
-    )
+    columns = (data.user_idx[perm], data.item_idx[perm], data.rating[perm])
+    train, validation, test, held_out = (
+        RatingDataset(data.n_users, data.n_items, *(column[part] for column in columns), data.scale)
+        for part in (slice(cut1), slice(cut1, cut2), slice(cut2, None), slice(cut1, None)))
+    return SplitDataset(train, validation, test, held_out, maps)

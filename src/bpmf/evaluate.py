@@ -46,11 +46,11 @@ class ExperimentConfig:
         if self.split_seed < 0:
             raise ValueError("split_seed must be >= 0")
         ModelHyperparams(k=self.k, sigma2=self.sigma2)
-
-    def resolved_engine_config(self):
-        if self.engine_config is not None:
-            return self.engine_config
-        return DEFAULT_CONFIGS[self.engine]()
+        config_type = DEFAULT_CONFIGS[self.engine]
+        if self.engine_config is None:
+            object.__setattr__(self, "engine_config", config_type())
+        elif not isinstance(self.engine_config, config_type):
+            raise ValueError(f"engine {self.engine!r} takes a {config_type.__name__}")
 
 
 @dataclass
@@ -154,7 +154,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Load, split, train the selected engine, score, and write artifacts.
 
     Writes ``report.json`` and ``trace.csv`` into the output directory.
-    Validation and test are scored in one pass over the held-out pairs,
+    Validation and test are scored in one pass over ``split.held_out``,
     validation first. ``timings`` holds the seconds spent in each phase:
     load, build, split, train, predict (scoring included) and write.
     The wall clock, ``timings["train"]``, covers training only: the MCMC
@@ -162,7 +162,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     pairs to a running mean as the chain runs, keeping no samples, and
     that time counts under ``predict``.
     """
-    engine_cfg = cfg.resolved_engine_config()
     hp = ModelHyperparams(k=cfg.k, sigma2=cfg.sigma2)
     timings = {}
     last = time.perf_counter()
@@ -178,14 +177,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     data, _ = build_dataset(raw, scale)
     lap("build")
     split = split_dataset(data, seed=cfg.split_seed)
-    held_out = RatingDataset(data.n_users, data.n_items, *(
-        np.concatenate([getattr(split.validation, name), getattr(split.test, name)])
-        for name in ("user_idx", "item_idx", "rating")), scale)
+    # the split has its own copy of the ratings; kept alive, the raw columns
+    # and the unsplit dataset would add two more to training's peak memory
+    del raw, data
     lap("split")
 
     streamed = 0.0
     if cfg.engine == "mcmc":
-        result = PosteriorMean(held_out.user_idx, held_out.item_idx)
+        result = PosteriorMean(split.held_out.user_idx, split.held_out.item_idx)
 
         def on_sample(state):
             nonlocal streamed
@@ -193,16 +192,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             result.add(state)
             streamed += time.perf_counter() - start
 
-        trace = run_chain(split.train, hp, engine_cfg, on_sample).energies.tolist()
+        trace = run_chain(split.train, hp, cfg.engine_config, on_sample).energies.tolist()
     else:
         train = mf_train if cfg.engine == "mf" else vi_train
-        result, trace = train(split.train, hp, engine_cfg)
+        result, trace = train(split.train, hp, cfg.engine_config)
     lap("train")
     timings["train"] -= streamed
 
-    preds, cold_count = predict_all(result, held_out, split.train,
+    preds, cold_count = predict_all(result, split.held_out, split.train,
                                     global_mean_rating(split.train))
-    truths = denormalize_rating(held_out.rating, scale)
+    truths = denormalize_rating(split.held_out.rating, scale)
     n_val = split.validation.n_ratings
     rmse_val = rmse(preds[:n_val], truths[:n_val])
     rmse_test = rmse(preds[n_val:], truths[n_val:])
@@ -227,7 +226,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "sigma2": cfg.sigma2,
             "fractions": list(SPLIT_FRACTIONS),
             "split_seed": cfg.split_seed,
-            "engine_config": dataclasses.asdict(engine_cfg),
+            "engine_config": dataclasses.asdict(cfg.engine_config),
         },
         rmse_validation=rmse_val,
         rmse_test=rmse_test,

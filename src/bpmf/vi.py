@@ -53,11 +53,6 @@ class VariationalParams:
     def k(self) -> int:
         return self.mu_u.shape[1]
 
-    def copy(self) -> "VariationalParams":
-        return VariationalParams(
-            self.mu_u.copy(), self.log_s_u.copy(), self.mu_v.copy(), self.log_s_v.copy()
-        )
-
 
 @dataclass(frozen=True)
 class ViConfig:

@@ -260,7 +260,7 @@ def test_criterion_4_gradient_checks():
         for name in ("mu_u", "log_s_u", "mu_v", "log_s_v"):
             block = getattr(params, name)
             for idx in np.ndindex(block.shape):
-                up, down = params.copy(), params.copy()
+                up, down = copy.deepcopy(params), copy.deepcopy(params)
                 getattr(up, name)[idx] += step
                 getattr(down, name)[idx] -= step
                 fd = (elbo_with_noise(up, data, hp, noise, buffers)[0]

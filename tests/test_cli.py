@@ -86,7 +86,7 @@ class TestRun:
         args = build_parser().parse_args(
             ["run", "--engine", engine, "--data", "x", "--out", "y"])
         library = ExperimentConfig(engine=engine, data_path="x", output_dir="y")
-        assert _engine_config(args) == library.resolved_engine_config()
+        assert _engine_config(args) == library.engine_config
         if engine == "mcmc":
             assert _engine_config(args).proposal == "rowwise"
 
@@ -147,6 +147,13 @@ class TestRun:
             "mcmc---sigma2-1e308"])
     def test_infinite_float_setting_is_usage_error(self, engine, flag, value, tmp_path, capsys):
         assert_usage_error_before_loading(tmp_path, capsys, engine, flag, value)
+
+    @pytest.mark.parametrize("engine,flags", [
+        ("mcmc", ["--epochs", "5", "--lr", "9"]), ("vi", ["--n-steps", "5"]),
+        ("mf", ["--mc-samples", "4", "--proposal-std", "7"]),
+    ], ids=["mcmc", "vi", "mf"])
+    def test_flag_of_another_engine_is_usage_error(self, engine, flags, tmp_path, capsys):
+        assert_usage_error_before_loading(tmp_path, capsys, engine, *flags)
 
     def test_chain_length_past_float_range_is_usage_error(self, tmp_path, capsys):
         # the default burn-in is 60% of the steps, computed in floating point

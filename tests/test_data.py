@@ -384,6 +384,16 @@ class TestSplitDataset:
             assert part.n_items == 8
             assert part.scale == data.scale
 
+    def test_held_out_is_validation_then_test_in_one_copy(self):
+        data = make_dataset(8, 9, 40, seed=5)
+        split = split_dataset(data, seed=3)
+        assert split.held_out.n_ratings == split.validation.n_ratings + split.test.n_ratings
+        for name in ("user_idx", "item_idx", "rating"):
+            held_out = getattr(split.held_out, name)
+            parts = [getattr(split.validation, name), getattr(split.test, name)]
+            np.testing.assert_array_equal(held_out, np.concatenate(parts))
+            assert all(np.shares_memory(held_out, part) for part in parts)
+
     def test_too_few_triples(self):
         data = make_dataset(2, 2, 2, seed=0)
         with pytest.raises(BpmfError):

@@ -2,7 +2,9 @@
 report serialization, plateau rule, and cross-engine comparison."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -296,17 +298,49 @@ class TestRunExperiment:
             cold_total += cold
         assert report.cold_start_count == cold_total
 
+    @pytest.mark.parametrize("engine,engine_config,train_name", [
+        ("vi", ViConfig(epochs=2), "vi_train"), ("mf", MfConfig(epochs=2), "mf_train"),
+        ("mcmc", McmcConfig(n_steps=10), "run_chain"),
+    ], ids=["vi", "mf", "mcmc"])
+    def test_training_holds_one_copy_of_the_ratings(self, engine, engine_config, train_name,
+                                                     ratings_small_csv, tmp_path, monkeypatch):
+        # weak references to the raw columns and to the unsplit dataset
+        refs = []
+        for name in ("build_dataset", "split_dataset"):
+            def spy(first, *args, _wrapped=getattr(evaluate, name), **kwargs):
+                refs.extend(map(weakref.ref, first if isinstance(first, tuple) else [first]))
+                return _wrapped(first, *args, **kwargs)
+
+            monkeypatch.setattr(evaluate, name, spy)
+        alive = []
+
+        def entered(*args, _train=getattr(evaluate, train_name)):
+            gc.collect()
+            alive.extend(ref() is not None for ref in refs)
+            return _train(*args)
+
+        monkeypatch.setattr(evaluate, train_name, entered)
+        run_experiment(ExperimentConfig(engine=engine, data_path=str(ratings_small_csv),
+                                        output_dir=str(tmp_path / "out"), k=3,
+                                        engine_config=engine_config))
+        assert alive == [False] * 4
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(BpmfError):
             ExperimentConfig(engine="gibbs", data_path="x", output_dir="y")
 
-    @pytest.mark.parametrize("setting", [{"split_seed": -1}, {"k": 0}, {"sigma2": float("nan")}],
-                             ids=["split_seed", "k", "sigma2"])
+    @pytest.mark.parametrize("setting", [
+        {"split_seed": -1}, {"k": 0}, {"sigma2": float("nan")},
+        # another engine's config
+        {"engine_config": MfConfig()}, {"engine": "mf", "engine_config": McmcConfig()},
+        {"engine": "mcmc", "engine_config": ViConfig()},
+    ], ids=["split_seed", "k", "sigma2", "vi-MfConfig", "mf-McmcConfig", "mcmc-ViConfig"])
     def test_bad_setting_fails_before_the_load(self, setting, tmp_path):
         # the data file does not exist: a check after the load would raise OSError
         with pytest.raises(ValueError):
-            run_experiment(ExperimentConfig(engine="vi", data_path=str(tmp_path / "nope.csv"),
-                                            output_dir=str(tmp_path / "out"), **setting))
+            run_experiment(ExperimentConfig(**{"engine": "vi", **setting},
+                                            data_path=str(tmp_path / "nope.csv"),
+                                            output_dir=str(tmp_path / "out")))
 
     def test_checked_settings_cannot_be_reassigned(self):
         cfg = ExperimentConfig(engine="vi", data_path="x", output_dir="y")

@@ -2,20 +2,25 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def references(node) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
 def test_every_public_name_has_a_caller():
     # a public function, class or method must be referenced in src/bpmf or
-    # demos/, or named in README.md; a re-export is an import, not a reference
+    # demos/, outside its own definition, or named in README.md; a re-export
+    # is an import, not a reference
     package = sorted((ROOT / "src" / "bpmf").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in [*package, *ROOT.glob("demos/*.py")]}
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
-    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    named = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     unused = []
     for path in package:
         for node in trees[path].body:
@@ -23,6 +28,7 @@ def test_every_public_name_has_a_caller():
                 continue
             members = node.body if isinstance(node, ast.ClassDef) else []
             for item in [node, *(m for m in members if isinstance(m, ast.FunctionDef))]:
-                if not item.name.startswith("_") and item.name not in used:
+                if (not item.name.startswith("_") and item.name not in named
+                        and used[item.name] == references(item)[item.name]):
                     unused.append(f"{path.name}: {item.name}")
     assert not unused, f"public names that nothing calls: {unused}"

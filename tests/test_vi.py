@@ -1,6 +1,7 @@
 """Tests for the variational engine: KL closed form, pathwise gradients,
 bound property, optimization behavior, and prediction."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -134,8 +135,8 @@ class TestElboGradient:
             block = getattr(params, name)
             grad_block = getattr(grad, name)
             for idx in np.ndindex(block.shape):
-                up = params.copy()
-                down = params.copy()
+                up = copy.deepcopy(params)
+                down = copy.deepcopy(params)
                 getattr(up, name)[idx] += step
                 getattr(down, name)[idx] -= step
                 f_up, _ = elbo_with_noise(up, data, hp, noise, buffers)
