@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .model import LatentState, ModelHyperparams, RatingDataset, dot_buffers, row_dots
+from .model import (LatentState, ModelHyperparams, RatingDataset, dot_buffers, row_dots,
+                    scatter_rows)
 
 
 @dataclass(frozen=True)
@@ -51,17 +52,16 @@ def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig, buffers) ->
     """One full-batch update: the U block first, then V against the new U."""
     _check_shapes(state, data)
     by_user, by_item = data.incidence
-    u_rows, v_rows, _ = buffers
     ii, jj, rr = data.user_idx, data.item_idx, data.rating
 
     # overflow here fails LatentState's finite check, which mf_train reports as
-    # a divergence error; each update reuses the rows its residuals gathered
+    # a divergence error
     with np.errstate(over="ignore", invalid="ignore"):
         resid = rr - row_dots(state.u, state.v, ii, jj, buffers)
-        u_new = state.u + cfg.alpha * (by_user @ np.multiply(resid[:, None], v_rows, out=v_rows))
+        u_new = state.u + cfg.alpha * scatter_rows(by_user, resid, state.v)
 
         resid = rr - row_dots(u_new, state.v, ii, jj, buffers)
-        v_new = state.v + cfg.alpha * (by_item @ np.multiply(resid[:, None], u_rows, out=u_rows))
+        v_new = state.v + cfg.alpha * scatter_rows(by_item, resid, u_new)
     return LatentState(u_new, v_new)
 
 

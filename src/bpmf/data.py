@@ -136,12 +136,20 @@ def _lines_within_csv_limit(body: bytes) -> bool:
 def _may_repeat_a_pair(users, movies) -> bool:
     """Whether a (user, movie) pair repeats; also True when packing the
     pair into one int64 key could overflow."""
-    u_min, m_min = int(users.min()), int(movies.min())
+    m_min = int(movies.min())
     m_span = int(movies.max()) - m_min + 1
-    if (int(users.max()) - u_min + 1) * m_span > _INT64.max:
+    u_min = _packing_base(users, m_span)
+    if u_min is None:
         return True
     keys = np.sort((users - u_min) * m_span + (movies - m_min))
     return bool(np.any(keys[1:] == keys[:-1]))
+
+
+def _packing_base(major, minor_span: int):
+    """``min(major)``, or None when the int64 keys ``(major - min(major)) *
+    minor_span + minor``, minor in [0, minor_span), could overflow."""
+    lo = int(major.min())
+    return None if (int(major.max()) - lo + 1) * minor_span > _INT64.max else lo
 
 
 def _parse_rows(text: str):
@@ -196,11 +204,23 @@ def _read_rows(reader):
 
 def _first_appearance(ids):
     """Distinct IDs in first-appearance order, and each entry's dense index."""
-    distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return distinct[order], rank[inverse]
+    n = ids.size
+    lo = _packing_base(ids, n)
+    # entry positions grouped by ID, each group's first appearance first: one
+    # sort of packed keys, about 3x faster than np.unique on numpy 2.4
+    if lo is None:
+        order = np.argsort(ids, kind="stable")
+        grouped = ids[order]
+    else:
+        keys = np.sort((ids - lo) * n + np.arange(n))
+        grouped = keys // n  # ids - lo
+        order = keys - grouped * n
+    new_id = grouped[1:] != grouped[:-1]
+    first = order[np.flatnonzero(np.r_[True, new_id])]  # by ascending ID
+    rank = np.argsort(np.argsort(first))
+    index = np.empty_like(order)
+    index[order] = rank[np.cumsum(np.r_[0, new_id])]
+    return ids[np.sort(first)], index
 
 
 def build_dataset(ratings, scale: RatingScale):

@@ -81,17 +81,19 @@ class RatingDataset:
 
     @cached_property
     def incidence(self):
-        """CSR scatter pair, built on first use and kept (so the indices must not
-        change): ``by_user @ x`` sums per-rating rows of ``x`` by user, ``by_item @ x`` by item."""
-        ones = np.ones(self.n_ratings)
-        arange = np.arange(self.n_ratings)
-        by_user = sparse.csr_matrix(
-            (ones, (self.user_idx, arange)), shape=(self.n_users, self.n_ratings)
-        )
-        by_item = sparse.csr_matrix(
-            (ones, (self.item_idx, arange)), shape=(self.n_items, self.n_ratings)
-        )
-        return by_user, by_item
+        """Each side's rating pattern, users then items, built on first use and
+        kept (so the indices must not change): ``(indptr, order, other, shape)``.
+        ``order`` lists the rating indices by own row, row r's at
+        ``indptr[r]:indptr[r+1]`` in rating order; ``other`` holds their rows
+        on the other side; ``shape`` is (own rows, other rows)."""
+        sides = []
+        for own, other, shape in ((self.user_idx, self.item_idx, (self.n_users, self.n_items)),
+                                  (self.item_idx, self.user_idx, (self.n_items, self.n_users))):
+            # the COO -> CSR conversion is a counting sort, stable within each
+            # row, and it carries each rating's other-side row along as the data
+            csr = sparse.csr_matrix((other, (own, np.arange(own.size))), shape=(shape[0], own.size))
+            sides.append((csr.indptr, csr.indices, csr.data.astype(csr.indices.dtype), shape))
+        return tuple(sides)
 
 
 @dataclass
@@ -152,8 +154,7 @@ def row_dots(a, b, a_idx, b_idx, buffers=None):
     ``buffers`` (from :func:`dot_buffers`), if given, receive the two
     row gathers and the dots, so that a loop calling this allocates
     nothing: at MovieLens-small size a fresh 5 MB gather per call costs
-    about as much in page faults as the arithmetic. After the call the
-    buffers still hold the gathered rows, for callers that reuse them.
+    about as much in page faults as the arithmetic.
     ``mode="clip"`` keeps ``np.take`` with ``out`` on its unbuffered
     path, about three times faster than fancy indexing; since it would
     clamp a bad index silently, indices are range-checked first.
@@ -177,6 +178,15 @@ def rating_residuals(a, b, a_idx, b_idx, rating, buffers=None):
     out = row_dots(a, b, a_idx, b_idx, buffers)
     expit(out, out=out)
     return np.subtract(rating, out, out=out)
+
+
+def scatter_rows(side, weights, x):
+    """For each own row of ``side`` (a pattern from ``RatingDataset.incidence``),
+    the sum over its ratings r, in rating order, of ``weights[r] * x[other_r]``:
+    the terms and order of a 0/1 incidence matrix times the per-rating
+    products, so the same sums bit for bit, without those n_ratings x k products."""
+    indptr, order, other, shape = side
+    return sparse.csr_matrix((weights[order], other, indptr), shape=shape) @ x
 
 
 def residual_log_likelihood(resid, sigma2: float) -> float:

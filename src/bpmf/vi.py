@@ -25,6 +25,7 @@ from .model import (
     log_likelihood_sum,
     residual_log_likelihood,
     row_dots,
+    scatter_rows,
     sigmoid,
 )
 
@@ -111,7 +112,6 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
     )
     loglik = 0.0
     by_user, by_item = data.incidence
-    u_rows, v_rows, _ = buffers
     ii, jj, rr = data.user_idx, data.item_idx, data.rating
     for eps_u, eps_v in noise:
         u = params.mu_u + s_u * eps_u
@@ -119,10 +119,10 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
         mean = sigmoid(row_dots(u, v, ii, jj, buffers))
         resid = rr - mean
         loglik += residual_log_likelihood(resid, hp.sigma2)
-        # d(log lik)/d(dot) for each observation; the products reuse the gathers
-        coef = (resid * mean * (1.0 - mean) / hp.sigma2)[:, None]
-        g_u = by_user @ np.multiply(coef, v_rows, out=v_rows)
-        g_v = by_item @ np.multiply(coef, u_rows, out=u_rows)
+        # d(log lik)/d(dot) for each observation
+        coef = resid * mean * (1.0 - mean) / hp.sigma2
+        g_u = scatter_rows(by_user, coef, v)
+        g_v = scatter_rows(by_item, coef, u)
         grad.mu_u += g_u
         grad.mu_v += g_v
         grad.log_s_u += g_u * (u - params.mu_u)

@@ -335,6 +335,41 @@ class TestBuildDataset:
             assert maps.index_to_item[idx] == mid
 
 
+def unique_first_appearance(ids):
+    """The np.unique-based remap, kept as the reference for _first_appearance."""
+    distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return distinct[order], rank[inverse]
+
+
+_RNG = np.random.default_rng(7)
+_INT64 = np.iinfo(np.int64)
+
+
+class TestFirstAppearance:
+    # many repeats in each case, so a remap that lost the first appearance
+    # of an ID within its group would misorder the distinct IDs
+    @pytest.mark.parametrize("ids,fallback", [
+        (_RNG.integers(0, 50, 5_000), False),
+        (_RNG.integers(-10**12, 10**12, 40)[_RNG.integers(0, 40, 3_000)], False),
+        (np.array([5]), False),
+        (np.full(100, -3), False),
+        # the packed keys would overflow: the stable argsort path
+        (np.r_[_INT64.min, _RNG.integers(-3, 3, 2_000), _INT64.max], True),
+        (_RNG.integers(_INT64.min, _INT64.max, 60, dtype=np.int64)[_RNG.integers(0, 60, 3_000)],
+         True),
+    ], ids=["repeats", "wide-ids", "single", "constant", "int64-edges", "int64-spread"])
+    def test_matches_unique_reference(self, ids, fallback):
+        ids = ids.astype(np.int64)
+        assert (data_module._packing_base(ids, ids.size) is None) == fallback
+        got, expected = data_module._first_appearance(ids), unique_first_appearance(ids)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
 class TestSplitDataset:
     def test_ten_triples_six_two_two(self):
         data = make_dataset(5, 5, 10, seed=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from bpmf.data import build_dataset
 from bpmf.model import (
@@ -16,6 +17,7 @@ from bpmf.model import (
     denormalize_rating,
     log_joint,
     row_dots,
+    scatter_rows,
     sigmoid,
 )
 
@@ -219,18 +221,32 @@ class TestRowDots:
 
 
 class TestIncidence:
+    @staticmethod
+    def incidence_product(own_idx, n_own, weights, rows):
+        # a 0/1 incidence matrix n_ratings wide times the per-rating products,
+        # the sum scatter_rows must reproduce bit for bit
+        n = own_idx.size
+        ones = sparse.csr_matrix((np.ones(n), (own_idx, np.arange(n))), shape=(n_own, n))
+        return ones @ (weights[:, None] * rows)
+
     def test_cached_pair_sums_rows_by_user_and_item(self):
         rng = np.random.default_rng(0)
-        a, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        a_idx, b_idx = np.divmod(rng.permutation(20), 5)
-        data = RatingDataset(4, 5, a_idx, b_idx, rng.uniform(size=20), RatingScale(5))
-        pair = data.incidence
-        assert data.incidence is pair
-        by_user, by_item = pair
-        for rows, scatter, own_idx, n in ((b[b_idx], by_user, a_idx, 4),
-                                          (a[a_idx], by_item, b_idx, 5)):
-            expected = np.array([rows[own_idx == r].sum(axis=0) for r in range(n)])
-            np.testing.assert_allclose(scatter @ rows, expected, rtol=1e-12, atol=1e-12)
+        u, v = rng.normal(size=(5, 3)), rng.normal(size=(6, 3))
+        # 17 of the 4 x 5 pairs in shuffled order: user 4 and item 5 have no ratings
+        ii, jj = np.divmod(rng.permutation(20)[:17], 5)
+        for user_idx, item_idx in ((ii, jj), (ii[:0], jj[:0])):
+            data = RatingDataset(5, 6, user_idx, item_idx, rng.uniform(size=user_idx.size),
+                                 RatingScale(5))
+            pair = data.incidence
+            assert data.incidence is pair
+            by_user, by_item = pair
+            weights = rng.normal(size=data.n_ratings)
+            for side, x, own_idx, other_idx, n_own in ((by_user, v, user_idx, item_idx, 5),
+                                                       (by_item, u, item_idx, user_idx, 6)):
+                got = scatter_rows(side, weights, x)
+                expected = self.incidence_product(own_idx, n_own, weights, x[other_idx])
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestPredictPoint:
