@@ -1,6 +1,6 @@
 """Command-line entry point: ``bpmf run`` and ``bpmf compare``.
 
-Exit codes: 0 success, 1 usage error, 2 runtime/divergence error.
+Exit codes: 0 success, 1 usage error, 2 runtime/divergence/out-of-memory error.
 """
 
 from __future__ import annotations
@@ -138,11 +138,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"bpmf: {exc}", file=sys.stderr)
         return 1
-    except BpmfError as exc:
+    except (BpmfError, OSError) as exc:
         print(f"bpmf: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"bpmf: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"bpmf: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

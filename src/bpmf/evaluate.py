@@ -181,6 +181,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # and the unsplit dataset would add two more to training's peak memory
     del raw, data
     lap("split")
+    rows = max(split.train.n_users, split.train.n_items, split.train.n_ratings)
+    if rows * hp.k * 8 > np.iinfo(np.intp).max:  # numpy raises ValueError, not MemoryError
+        raise MemoryError(f"({rows}, {hp.k}) float64 arrays exceed the address space")
 
     streamed = 0.0
     if cfg.engine == "mcmc":

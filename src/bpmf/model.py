@@ -148,6 +148,15 @@ def dot_buffers(n: int, k: int):
     return np.empty((n, k)), np.empty((n, k)), np.empty(n)
 
 
+def gather_rows(x, idx, out):
+    """``x[idx]``, written into ``out``: ``np.take`` with ``out`` and
+    ``mode="clip"`` is unbuffered, about three times faster than fancy
+    indexing, but clamps a bad index silently, so ``idx`` is checked first."""
+    if len(idx) and (idx.min() < 0 or idx.max() >= len(x)):
+        raise IndexError("row index out of range")
+    return np.take(x, idx, axis=0, out=out, mode="clip")
+
+
 def row_dots(a, b, a_idx, b_idx, buffers=None):
     """``a[a_idx] . b[b_idx]``, one row dot per index pair.
 
@@ -155,18 +164,10 @@ def row_dots(a, b, a_idx, b_idx, buffers=None):
     row gathers and the dots, so that a loop calling this allocates
     nothing: at MovieLens-small size a fresh 5 MB gather per call costs
     about as much in page faults as the arithmetic.
-    ``mode="clip"`` keeps ``np.take`` with ``out`` on its unbuffered
-    path, about three times faster than fancy indexing; since it would
-    clamp a bad index silently, indices are range-checked first.
     """
-    if len(a_idx) and (min(a_idx.min(), b_idx.min()) < 0
-                       or a_idx.max() >= len(a) or b_idx.max() >= len(b)):
-        raise IndexError("row index out of range")
-    if buffers is None:
-        buffers = dot_buffers(len(a_idx), a.shape[1])
-    rows_a, rows_b, out = buffers
-    np.take(a, a_idx, axis=0, out=rows_a, mode="clip")
-    np.take(b, b_idx, axis=0, out=rows_b, mode="clip")
+    rows_a, rows_b, out = buffers or dot_buffers(len(a_idx), a.shape[1])
+    gather_rows(a, a_idx, rows_a)
+    gather_rows(b, b_idx, rows_b)
     return np.einsum("ij,ij->i", rows_a, rows_b, out=out)
 
 

@@ -5,9 +5,12 @@ import copy
 import numpy as np
 import pytest
 
-from bpmf.baseline import MfConfig, init_state, mf_epoch, mf_loss, mf_train
+import bpmf.baseline
+import bpmf.model
+from bpmf.baseline import MfConfig, init_state, mf_epoch, mf_gathers, mf_loss, mf_train
 from bpmf.errors import DivergenceError
-from bpmf.model import LatentState, ModelHyperparams, RatingDataset, RatingScale, dot_buffers
+from bpmf.model import (LatentState, ModelHyperparams, RatingDataset, RatingScale, dot_buffers,
+                        row_dots, scatter_rows)
 
 from conftest import make_dataset
 
@@ -20,36 +23,36 @@ class TestMfLoss:
     def test_empty_observations(self):
         data = _dataset(2, 2, [], [], [])
         state = LatentState(np.ones((2, 1)), np.ones((2, 1)))
-        assert mf_loss(state, data) == 0.0
+        assert mf_loss(mf_gathers(state, data)) == 0.0
 
     def test_single_zero_factor(self):
         data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.zeros((1, 1)), np.zeros((1, 1)))
-        assert mf_loss(state, data) == 0.25
+        assert mf_loss(mf_gathers(state, data)) == 0.25
 
     def test_exact_fit(self):
         data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.array([[1.0]]), np.array([[0.5]]))
-        assert mf_loss(state, data) == 0.0
+        assert mf_loss(mf_gathers(state, data)) == 0.0
 
     def test_shape_mismatch(self):
         data = _dataset(2, 2, [], [], [])
         with pytest.raises(ValueError):
-            mf_loss(LatentState(np.ones((3, 1)), np.ones((2, 1))), data)
+            mf_loss(mf_gathers(LatentState(np.ones((3, 1)), np.ones((2, 1))), data))
 
 
 class TestMfEpoch:
     def test_empty_observations_no_change(self):
         data = _dataset(2, 2, [], [], [])
         state = LatentState(np.ones((2, 2)), np.ones((2, 2)))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1), dot_buffers(0, 2))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_gathers(state, data))
         np.testing.assert_array_equal(new.u, state.u)
         np.testing.assert_array_equal(new.v, state.v)
 
     def test_fixed_point_at_exact_fit(self):
         data = _dataset(1, 1, [0], [0], [1.0])
         state = LatentState(np.array([[1.0]]), np.array([[1.0]]))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1), dot_buffers(1, 1))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_gathers(state, data))
         assert new.u[0, 0] == 1.0
         assert new.v[0, 0] == 1.0
 
@@ -57,7 +60,7 @@ class TestMfEpoch:
         # v=0 kills the u-gradient; v then moves using the unchanged u
         data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.array([[1.0]]), np.array([[0.0]]))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1), dot_buffers(1, 1))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_gathers(state, data))
         assert new.u[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert new.v[0, 0] == pytest.approx(0.05, abs=1e-15)
 
@@ -68,7 +71,7 @@ class TestMfEpoch:
         data = make_dataset(3, 3, 6, seed=1, k_true=2)
         cfg = MfConfig(alpha=0.003)
         state = LatentState(rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)))
-        new = mf_epoch(state, data, cfg, dot_buffers(6, 2))
+        new = mf_epoch(state, data, cfg, mf_gathers(state, data))
         step = 1e-5
         for i in range(3):
             for c in range(2):
@@ -76,7 +79,7 @@ class TestMfEpoch:
                 down = copy.deepcopy(state)
                 up.u[i, c] += step
                 down.u[i, c] -= step
-                fd = (mf_loss(up, data) - mf_loss(down, data)) / (2 * step)
+                fd = (mf_loss(mf_gathers(up, data)) - mf_loss(mf_gathers(down, data))) / (2 * step)
                 expected = -0.5 * cfg.alpha * fd
                 actual = new.u[i, c] - state.u[i, c]
                 assert actual == pytest.approx(expected, rel=1e-4, abs=1e-12)
@@ -92,8 +95,8 @@ class TestMfEpoch:
         )
         state = init_state(4, 5, 2, MfConfig(seed=5))
         cfg = MfConfig(alpha=0.01)
-        a = mf_epoch(state, data, cfg, dot_buffers(12, 2))
-        b = mf_epoch(state, shuffled, cfg, dot_buffers(12, 2))
+        a = mf_epoch(state, data, cfg, mf_gathers(state, data))
+        b = mf_epoch(state, shuffled, cfg, mf_gathers(state, shuffled))
         np.testing.assert_allclose(a.u, b.u, atol=1e-9)
         np.testing.assert_allclose(a.v, b.v, atol=1e-9)
 
@@ -145,3 +148,82 @@ class TestMfConfig:
     def test_negative_seed(self):
         with pytest.raises(ValueError):
             MfConfig(seed=-1)
+
+
+def _regathering_mf_train(data, hp, cfg):
+    """The training loop as it was before the epochs carried their row gathers
+    and residual: both residuals of an epoch and its loss each take a fresh
+    ``row_dots`` of both sides."""
+    state = init_state(data.n_users, data.n_items, hp.k, cfg)
+    by_user, by_item = data.incidence
+    ii, jj, rr = data.user_idx, data.item_idx, data.rating
+    buffers = dot_buffers(data.n_ratings, hp.k)
+    trace = []
+    for epoch in range(cfg.epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = rr - row_dots(state.u, state.v, ii, jj, buffers)
+            u_new = state.u + cfg.alpha * scatter_rows(by_user, resid, state.v)
+            resid = rr - row_dots(u_new, state.v, ii, jj, buffers)
+            v_new = state.v + cfg.alpha * scatter_rows(by_item, resid, u_new)
+        try:
+            state = LatentState(u_new, v_new)
+        except ValueError:
+            raise DivergenceError("matrix factorization diverged", epoch) from None
+        with np.errstate(over="ignore"):
+            trace.append(float(np.sum((rr - row_dots(state.u, state.v, ii, jj, buffers)) ** 2)))
+    return state, trace
+
+
+def _shuffled_with_unrated_rows():
+    # user 5 and item 6 have no ratings; the ratings come in a shuffled order
+    data = make_dataset(5, 6, 18, seed=8)
+    perm = np.random.default_rng(3).permutation(data.n_ratings)
+    return RatingDataset(6, 7, data.user_idx[perm], data.item_idx[perm], data.rating[perm],
+                         data.scale)
+
+
+class TestCarriedGathers:
+    @pytest.mark.parametrize("data,epochs", [
+        (_shuffled_with_unrated_rows(), 40),
+        (_dataset(3, 4, [], [], []), 5),
+        (_shuffled_with_unrated_rows(), 0),
+    ], ids=["shuffled-unrated-rows", "no-ratings", "zero-epochs"])
+    def test_bit_identical_to_regathering_loop(self, data, epochs):
+        hp, cfg = ModelHyperparams(3, 0.25), MfConfig(alpha=0.05, epochs=epochs, seed=4)
+        state, trace = mf_train(data, hp, cfg)
+        ref_state, ref_trace = _regathering_mf_train(data, hp, cfg)
+        for got, want in ((state.u, ref_state.u), (state.v, ref_state.v),
+                          (np.array(trace), np.array(ref_trace))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert len(trace) == epochs
+
+    def test_divergence_at_the_same_epoch(self):
+        data = _shuffled_with_unrated_rows()
+        hp, cfg = ModelHyperparams(3, 0.25), MfConfig(alpha=2.0, epochs=60, seed=4)
+        with pytest.raises(DivergenceError) as got:
+            mf_train(data, hp, cfg)
+        with pytest.raises(DivergenceError) as want:
+            _regathering_mf_train(data, hp, cfg)
+        assert got.value.epoch == want.value.epoch > 0
+
+    def test_two_gathers_per_epoch(self, monkeypatch):
+        # row_dots looks the gather up in bpmf.model, the epoch in bpmf.baseline
+        calls = {"gather_rows": 0, "mf_epoch": 0, "mf_loss": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        gather = counted("gather_rows", bpmf.model.gather_rows)
+        monkeypatch.setattr(bpmf.model, "gather_rows", gather)
+        monkeypatch.setattr(bpmf.baseline, "gather_rows", gather)
+        for name in ("mf_epoch", "mf_loss"):
+            monkeypatch.setattr(bpmf.baseline, name, counted(name, getattr(bpmf.baseline, name)))
+        epochs = 7
+        mf_train(make_dataset(5, 6, 18, seed=8), ModelHyperparams(3, 0.25),
+                 MfConfig(alpha=0.05, epochs=epochs))
+        # the loop that regathered both sides for every pass made 6 * epochs
+        assert calls == {"gather_rows": 2 + 2 * epochs, "mf_epoch": epochs, "mf_loss": epochs}

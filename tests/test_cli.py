@@ -166,6 +166,18 @@ class TestRun:
         )
         assert code == 2
 
+    # 10**17 puts the (ratings, k) arrays past the address space, which numpy
+    # refuses with a ValueError; 10**16 is addressable, but a (users, k) init
+    # of 1.2e18 bytes fails at request time; neither touches any memory
+    @pytest.mark.parametrize("k", [10**17, 10**16])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unallocatable_k_is_runtime_error(self, engine, k, small_csv, tmp_path, capsys):
+        code = run_cli("run", "--engine", engine, "--data", str(small_csv),
+                       "--out", str(tmp_path / "big"), "--k", str(k))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bpmf: out of memory: ") and err.count("\n") == 1
+
     def test_overflowing_proposal_is_runtime_error(self, small_csv, tmp_path, capsys):
         code = run_cli(
             "run", "--engine", "mcmc", "--data", str(small_csv),
