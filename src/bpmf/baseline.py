@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .model import (LatentState, ModelHyperparams, RatingDataset, dot_buffers, gather_rows,
-                    row_dots, scatter_rows)
+from .model import LatentState, ModelHyperparams, RatingDataset, dot_buffers, row_dots, scatter_rows
 
 
 @dataclass(frozen=True)
@@ -32,20 +31,23 @@ class MfConfig:
             raise ValueError("seed must be >= 0")
 
 
-def mf_gathers(state: LatentState, data: RatingDataset):
-    """``(U[user_idx], V[item_idx], rating - their row dots)`` of ``state``,
-    which :func:`mf_epoch` keeps current and :func:`mf_loss` reads."""
+def mf_residual(state: LatentState, data: RatingDataset):
+    """:func:`row_dots` buffers whose dots hold ``rating - U[user_idx] . V[item_idx]``
+    of ``state``: the residual :func:`mf_epoch` keeps current and :func:`mf_loss` reads."""
     _check_shapes(state, data)
-    gathers = dot_buffers(data.n_ratings, state.k)
-    dots = row_dots(state.u, state.v, data.user_idx, data.item_idx, gathers)
-    np.subtract(data.rating, dots, out=dots)
-    return gathers
+    buffers = dot_buffers(data.n_ratings, state.k)
+    _residual(state.u, state.v, data, buffers)
+    return buffers
 
 
-def mf_loss(gathers) -> float:
+def _residual(u, v, data: RatingDataset, buffers):
+    np.subtract(data.rating, row_dots(u, v, data.user_idx, data.item_idx, buffers), out=buffers[2])
+
+
+def mf_loss(buffers) -> float:
     """Sum of squared residuals over observed (normalized) ratings."""
     with np.errstate(over="ignore"):
-        return float(np.sum(gathers[2] ** 2))
+        return float(np.sum(buffers[2] ** 2))
 
 
 def _check_shapes(state: LatentState, data: RatingDataset):
@@ -56,21 +58,19 @@ def _check_shapes(state: LatentState, data: RatingDataset):
         )
 
 
-def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig, gathers) -> LatentState:
+def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig, buffers) -> LatentState:
     """One full-batch update: the U block first, then V against the new U.
-    ``gathers`` must be :func:`mf_gathers` of ``state``; each block regathers
-    only its own side, so they end as those of the returned state."""
+    ``buffers`` must be :func:`mf_residual` of ``state``; each block recomputes
+    the residual with one :func:`row_dots`, so it ends as that of the result."""
     _check_shapes(state, data)
     by_user, by_item = data.incidence
-    rows_u, rows_v, resid = gathers
+    resid = buffers[2]
     # overflow fails LatentState's finite check, which mf_train reports as divergence
     with np.errstate(over="ignore", invalid="ignore"):
         u_new = state.u + cfg.alpha * scatter_rows(by_user, resid, state.v)
-        gather_rows(u_new, data.user_idx, rows_u)
-        np.subtract(data.rating, np.einsum("ij,ij->i", rows_u, rows_v, out=resid), out=resid)
+        _residual(u_new, state.v, data, buffers)
         v_new = state.v + cfg.alpha * scatter_rows(by_item, resid, u_new)
-        gather_rows(v_new, data.item_idx, rows_v)
-        np.subtract(data.rating, np.einsum("ij,ij->i", rows_u, rows_v, out=resid), out=resid)
+        _residual(u_new, v_new, data, buffers)
     return LatentState(u_new, v_new)
 
 
@@ -89,12 +89,12 @@ def mf_train(data: RatingDataset, hp: ModelHyperparams, cfg: MfConfig):
     plays no part in a prior-free squared loss.
     """
     state = init_state(data.n_users, data.n_items, hp.k, cfg)
-    gathers = mf_gathers(state, data)
+    buffers = mf_residual(state, data)
     trace = []
     for epoch in range(cfg.epochs):
         try:  # an epoch raises ValueError only from the finite check on its update
-            state = mf_epoch(state, data, cfg, gathers)
+            state = mf_epoch(state, data, cfg, buffers)
         except ValueError:
             raise DivergenceError("matrix factorization diverged (reduce alpha)", epoch) from None
-        trace.append(mf_loss(gathers))
+        trace.append(mf_loss(buffers))
     return state, trace

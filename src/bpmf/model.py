@@ -19,6 +19,8 @@ from scipy.special import expit
 from .errors import BpmfError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# gathered elements per side in a row_dots block: two float64 blocks (512 KB) fit in L2
+BLOCK_ELEMENTS = 32768
 
 
 @dataclass(frozen=True)
@@ -144,31 +146,31 @@ def denormalize_rating(r_star, scale: RatingScale):
 
 
 def dot_buffers(n: int, k: int):
-    """Scratch arrays for :func:`row_dots`: two n x k row gathers and n dots."""
-    return np.empty((n, k)), np.empty((n, k)), np.empty(n)
-
-
-def gather_rows(x, idx, out):
-    """``x[idx]``, written into ``out``: ``np.take`` with ``out`` and
-    ``mode="clip"`` is unbuffered, about three times faster than fancy
-    indexing, but clamps a bad index silently, so ``idx`` is checked first."""
-    if len(idx) and (idx.min() < 0 or idx.max() >= len(x)):
-        raise IndexError("row index out of range")
-    return np.take(x, idx, axis=0, out=out, mode="clip")
+    """Scratch arrays for :func:`row_dots`: two gather blocks of
+    ``max(1, min(n, BLOCK_ELEMENTS // k))`` rows and n dots."""
+    rows = max(1, min(n, BLOCK_ELEMENTS // k))
+    return np.empty((rows, k)), np.empty((rows, k)), np.empty(n)
 
 
 def row_dots(a, b, a_idx, b_idx, buffers=None):
-    """``a[a_idx] . b[b_idx]``, one row dot per index pair.
-
-    ``buffers`` (from :func:`dot_buffers`), if given, receive the two
-    row gathers and the dots, so that a loop calling this allocates
-    nothing: at MovieLens-small size a fresh 5 MB gather per call costs
-    about as much in page faults as the arithmetic.
-    """
+    """``a[a_idx] . b[b_idx]``, one row dot per index pair: the likelihood
+    kernel of every engine. ``np.take(mode="clip")`` clamps a bad index
+    silently, so both index arrays are range-checked first; then the pairs
+    are gathered into ``buffers`` (from :func:`dot_buffers`) and dotted a
+    block at a time, so the gathered rows stay in cache and no n x k array
+    is written. A loop that passes its buffers allocates nothing."""
     rows_a, rows_b, out = buffers or dot_buffers(len(a_idx), a.shape[1])
-    gather_rows(a, a_idx, rows_a)
-    gather_rows(b, b_idx, rows_b)
-    return np.einsum("ij,ij->i", rows_a, rows_b, out=out)
+    for x, idx in ((a, a_idx), (b, b_idx)):
+        if len(idx) and (idx.min() < 0 or idx.max() >= len(x)):
+            raise IndexError("row index out of range")
+    step = len(rows_a)
+    for lo in range(0, len(a_idx), step):
+        block = slice(lo, lo + step)
+        m = len(out[block])
+        np.take(a, a_idx[block], axis=0, out=rows_a[:m], mode="clip")
+        np.take(b, b_idx[block], axis=0, out=rows_b[:m], mode="clip")
+        np.einsum("ij,ij->i", rows_a[:m], rows_b[:m], out=out[block])
+    return out
 
 
 def rating_residuals(a, b, a_idx, b_idx, rating, buffers=None):

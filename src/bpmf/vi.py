@@ -142,7 +142,7 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
 
 
 def elbo_value_with_noise(params: VariationalParams, data: RatingDataset,
-                          hp: ModelHyperparams, noise, buffers=None) -> float:
+                          hp: ModelHyperparams, noise, buffers) -> float:
     """ELBO estimate only (no gradient work) for explicit base noise:
     the noise-averaged model log likelihood minus the analytic KL."""
     s_u = np.exp(params.log_s_u)

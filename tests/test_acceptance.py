@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from bpmf.baseline import MfConfig, mf_epoch, mf_gathers, mf_loss
+from bpmf.baseline import MfConfig, mf_epoch, mf_loss, mf_residual
 from bpmf.data import split_dataset
 from bpmf.evaluate import (
     ExperimentConfig,
@@ -274,13 +274,14 @@ def test_criterion_4_gradient_checks():
         cfg = MfConfig(alpha=0.003)
         rng = np.random.default_rng(3000 + seed)
         state = LatentState(rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)))
-        new = mf_epoch(state, data, cfg, mf_gathers(state, data))
+        new = mf_epoch(state, data, cfg, mf_residual(state, data))
         for i in range(3):
             for c in range(2):
                 up, down = copy.deepcopy(state), copy.deepcopy(state)
                 up.u[i, c] += step
                 down.u[i, c] -= step
-                fd = (mf_loss(mf_gathers(up, data)) - mf_loss(mf_gathers(down, data))) / (2 * step)
+                fd = (mf_loss(mf_residual(up, data))
+                      - mf_loss(mf_residual(down, data))) / (2 * step)
                 # the update applies alpha times the residual sum, which is
                 # -(alpha/2) times the loss gradient (see ledger)
                 expected = -0.5 * cfg.alpha * fd

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import bpmf.baseline
-import bpmf.model
-from bpmf.baseline import MfConfig, init_state, mf_epoch, mf_gathers, mf_loss, mf_train
+from bpmf.baseline import MfConfig, init_state, mf_epoch, mf_loss, mf_residual, mf_train
 from bpmf.errors import DivergenceError
-from bpmf.model import (LatentState, ModelHyperparams, RatingDataset, RatingScale, dot_buffers,
-                        row_dots, scatter_rows)
+from bpmf.model import (BLOCK_ELEMENTS, LatentState, ModelHyperparams, RatingDataset, RatingScale,
+                        scatter_rows)
 
 from conftest import make_dataset
 
@@ -23,36 +22,36 @@ class TestMfLoss:
     def test_empty_observations(self):
         data = _dataset(2, 2, [], [], [])
         state = LatentState(np.ones((2, 1)), np.ones((2, 1)))
-        assert mf_loss(mf_gathers(state, data)) == 0.0
+        assert mf_loss(mf_residual(state, data)) == 0.0
 
     def test_single_zero_factor(self):
         data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.zeros((1, 1)), np.zeros((1, 1)))
-        assert mf_loss(mf_gathers(state, data)) == 0.25
+        assert mf_loss(mf_residual(state, data)) == 0.25
 
     def test_exact_fit(self):
         data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.array([[1.0]]), np.array([[0.5]]))
-        assert mf_loss(mf_gathers(state, data)) == 0.0
+        assert mf_loss(mf_residual(state, data)) == 0.0
 
     def test_shape_mismatch(self):
         data = _dataset(2, 2, [], [], [])
         with pytest.raises(ValueError):
-            mf_loss(mf_gathers(LatentState(np.ones((3, 1)), np.ones((2, 1))), data))
+            mf_loss(mf_residual(LatentState(np.ones((3, 1)), np.ones((2, 1))), data))
 
 
 class TestMfEpoch:
     def test_empty_observations_no_change(self):
         data = _dataset(2, 2, [], [], [])
         state = LatentState(np.ones((2, 2)), np.ones((2, 2)))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_gathers(state, data))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_residual(state, data))
         np.testing.assert_array_equal(new.u, state.u)
         np.testing.assert_array_equal(new.v, state.v)
 
     def test_fixed_point_at_exact_fit(self):
         data = _dataset(1, 1, [0], [0], [1.0])
         state = LatentState(np.array([[1.0]]), np.array([[1.0]]))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_gathers(state, data))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_residual(state, data))
         assert new.u[0, 0] == 1.0
         assert new.v[0, 0] == 1.0
 
@@ -60,7 +59,7 @@ class TestMfEpoch:
         # v=0 kills the u-gradient; v then moves using the unchanged u
         data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.array([[1.0]]), np.array([[0.0]]))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_gathers(state, data))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_residual(state, data))
         assert new.u[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert new.v[0, 0] == pytest.approx(0.05, abs=1e-15)
 
@@ -71,7 +70,7 @@ class TestMfEpoch:
         data = make_dataset(3, 3, 6, seed=1, k_true=2)
         cfg = MfConfig(alpha=0.003)
         state = LatentState(rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)))
-        new = mf_epoch(state, data, cfg, mf_gathers(state, data))
+        new = mf_epoch(state, data, cfg, mf_residual(state, data))
         step = 1e-5
         for i in range(3):
             for c in range(2):
@@ -79,7 +78,8 @@ class TestMfEpoch:
                 down = copy.deepcopy(state)
                 up.u[i, c] += step
                 down.u[i, c] -= step
-                fd = (mf_loss(mf_gathers(up, data)) - mf_loss(mf_gathers(down, data))) / (2 * step)
+                fd = (mf_loss(mf_residual(up, data))
+                      - mf_loss(mf_residual(down, data))) / (2 * step)
                 expected = -0.5 * cfg.alpha * fd
                 actual = new.u[i, c] - state.u[i, c]
                 assert actual == pytest.approx(expected, rel=1e-4, abs=1e-12)
@@ -95,8 +95,8 @@ class TestMfEpoch:
         )
         state = init_state(4, 5, 2, MfConfig(seed=5))
         cfg = MfConfig(alpha=0.01)
-        a = mf_epoch(state, data, cfg, mf_gathers(state, data))
-        b = mf_epoch(state, shuffled, cfg, mf_gathers(state, shuffled))
+        a = mf_epoch(state, data, cfg, mf_residual(state, data))
+        b = mf_epoch(state, shuffled, cfg, mf_residual(state, shuffled))
         np.testing.assert_allclose(a.u, b.u, atol=1e-9)
         np.testing.assert_allclose(a.v, b.v, atol=1e-9)
 
@@ -151,26 +151,29 @@ class TestMfConfig:
 
 
 def _regathering_mf_train(data, hp, cfg):
-    """The training loop as it was before the epochs carried their row gathers
-    and residual: both residuals of an epoch and its loss each take a fresh
-    ``row_dots`` of both sides."""
+    """The training loop as it was before the epochs carried their residual:
+    both residuals of an epoch and its loss each take fresh row dots of
+    both sides, here by fancy indexing rather than the kernel under test."""
     state = init_state(data.n_users, data.n_items, hp.k, cfg)
     by_user, by_item = data.incidence
     ii, jj, rr = data.user_idx, data.item_idx, data.rating
-    buffers = dot_buffers(data.n_ratings, hp.k)
+
+    def dots(u, v):
+        return np.einsum("ij,ij->i", u[ii], v[jj])
+
     trace = []
     for epoch in range(cfg.epochs):
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = rr - row_dots(state.u, state.v, ii, jj, buffers)
+            resid = rr - dots(state.u, state.v)
             u_new = state.u + cfg.alpha * scatter_rows(by_user, resid, state.v)
-            resid = rr - row_dots(u_new, state.v, ii, jj, buffers)
+            resid = rr - dots(u_new, state.v)
             v_new = state.v + cfg.alpha * scatter_rows(by_item, resid, u_new)
         try:
             state = LatentState(u_new, v_new)
         except ValueError:
             raise DivergenceError("matrix factorization diverged", epoch) from None
         with np.errstate(over="ignore"):
-            trace.append(float(np.sum((rr - row_dots(state.u, state.v, ii, jj, buffers)) ** 2)))
+            trace.append(float(np.sum((rr - dots(state.u, state.v)) ** 2)))
     return state, trace
 
 
@@ -187,7 +190,8 @@ class TestCarriedGathers:
         (_shuffled_with_unrated_rows(), 40),
         (_dataset(3, 4, [], [], []), 5),
         (_shuffled_with_unrated_rows(), 0),
-    ], ids=["shuffled-unrated-rows", "no-ratings", "zero-epochs"])
+        (make_dataset(250, 200, 3 * BLOCK_ELEMENTS // 3 + 7, seed=5), 3),
+    ], ids=["shuffled-unrated-rows", "no-ratings", "zero-epochs", "several-blocks"])
     def test_bit_identical_to_regathering_loop(self, data, epochs):
         hp, cfg = ModelHyperparams(3, 0.25), MfConfig(alpha=0.05, epochs=epochs, seed=4)
         state, trace = mf_train(data, hp, cfg)
@@ -207,9 +211,8 @@ class TestCarriedGathers:
             _regathering_mf_train(data, hp, cfg)
         assert got.value.epoch == want.value.epoch > 0
 
-    def test_two_gathers_per_epoch(self, monkeypatch):
-        # row_dots looks the gather up in bpmf.model, the epoch in bpmf.baseline
-        calls = {"gather_rows": 0, "mf_epoch": 0, "mf_loss": 0}
+    def test_two_row_dots_passes_per_epoch(self, monkeypatch):
+        calls = {"row_dots": 0, "mf_epoch": 0, "mf_loss": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -217,13 +220,26 @@ class TestCarriedGathers:
                 return fn(*args, **kwargs)
             return wrapper
 
-        gather = counted("gather_rows", bpmf.model.gather_rows)
-        monkeypatch.setattr(bpmf.model, "gather_rows", gather)
-        monkeypatch.setattr(bpmf.baseline, "gather_rows", gather)
-        for name in ("mf_epoch", "mf_loss"):
+        for name in calls:
             monkeypatch.setattr(bpmf.baseline, name, counted(name, getattr(bpmf.baseline, name)))
         epochs = 7
         mf_train(make_dataset(5, 6, 18, seed=8), ModelHyperparams(3, 0.25),
                  MfConfig(alpha=0.05, epochs=epochs))
-        # the loop that regathered both sides for every pass made 6 * epochs
-        assert calls == {"gather_rows": 2 + 2 * epochs, "mf_epoch": epochs, "mf_loss": epochs}
+        # one pass for the initial residual, one per half-epoch; the loss takes none
+        assert calls == {"row_dots": 1 + 2 * epochs, "mf_epoch": epochs, "mf_loss": epochs}
+
+    def test_no_full_gather_on_a_multi_block_dataset(self, monkeypatch):
+        k = 40
+        data = make_dataset(60, 80, 3 * BLOCK_ELEMENTS // k + 5, seed=2)
+        seen = []
+
+        kernel = bpmf.baseline.row_dots
+
+        def recording(a, b, a_idx, b_idx, buffers):
+            seen.append((buffers[0].shape, buffers[1].shape, buffers[2].shape))
+            return kernel(a, b, a_idx, b_idx, buffers)
+
+        monkeypatch.setattr(bpmf.baseline, "row_dots", recording)
+        mf_train(data, ModelHyperparams(k, 0.25), MfConfig(alpha=0.01, epochs=2))
+        block = (BLOCK_ELEMENTS // k, k)
+        assert seen == [(block, block, (data.n_ratings,))] * 5

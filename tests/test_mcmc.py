@@ -18,6 +18,7 @@ from bpmf.mcmc import (
     run_chain,
 )
 from bpmf.model import (
+    BLOCK_ELEMENTS,
     LatentState,
     ModelHyperparams,
     PosteriorMean,
@@ -301,6 +302,17 @@ class TestRowwiseKernel:
         np.testing.assert_array_equal(state.v, expect.v)
         assert frac == n_accepted / (4 + 5)
         assert log_g == pytest.approx(log_joint(expect, data, hp), abs=1e-10)
+
+    def test_cache_holds_no_full_gather(self):
+        k = 40
+        data = make_dataset(60, 80, 3 * BLOCK_ELEMENTS // k + 5, seed=2)
+        init = np.random.default_rng(1)
+        state = LatentState(init.normal(size=(60, k)), init.normal(size=(80, k)))
+        cache = RowwiseCache.for_state(state, data)
+        block = (BLOCK_ELEMENTS // k, k)
+        assert [b.shape for b in cache.buffers] == [block, block, (data.n_ratings,)]
+        dots = np.einsum("ij,ij->i", state.u[data.user_idx], state.v[data.item_idx])
+        assert np.array_equal(cache.sq_resid, (data.rating - sigmoid(dots)) ** 2)
 
     def test_energies_are_log_joint_of_retained_states(self):
         data = make_dataset(6, 7, 20, seed=2)

@@ -10,11 +10,13 @@ from scipy import sparse
 
 from bpmf.data import build_dataset
 from bpmf.model import (
+    BLOCK_ELEMENTS,
     LatentState,
     ModelHyperparams,
     RatingDataset,
     RatingScale,
     denormalize_rating,
+    dot_buffers,
     log_joint,
     row_dots,
     scatter_rows,
@@ -218,6 +220,45 @@ class TestRowDots:
         # np.take with mode="clip" would clamp these to an edge row
         with pytest.raises(IndexError):
             row_dots(np.ones((4, 2)), np.ones((5, 2)), np.array(a_idx), np.array(b_idx))
+
+    @staticmethod
+    def pairs(k, n, rng):
+        a, b = rng.normal(size=(70, k)), rng.normal(size=(90, k))
+        return a, b, rng.integers(0, 70, n), rng.integers(0, 90, n)
+
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    @pytest.mark.parametrize("blocks", [3.5, 1, 0],
+                             ids=["3-blocks-and-a-part", "one-block", "empty"])
+    def test_blocked_kernel_matches_oracle(self, k, blocks):
+        rng = np.random.default_rng(k)
+        a, b, a_idx, b_idx = self.pairs(k, int(blocks * (BLOCK_ELEMENTS // k)), rng)
+        expected = np.einsum("ij,ij->i", a[a_idx], b[b_idx])
+        for buffers in (None, dot_buffers(a_idx.size, k)):
+            got = row_dots(a, b, a_idx, b_idx, buffers)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("bad", [-1, "rows"])
+    def test_index_out_of_range_in_the_last_block_raises(self, side, bad):
+        k = 3
+        a, b, a_idx, b_idx = self.pairs(k, 3 * (BLOCK_ELEMENTS // k) + 5, np.random.default_rng(0))
+        idx, x = (a_idx, a) if side == "a" else (b_idx, b)
+        idx[-1] = len(x) if bad == "rows" else bad
+        with pytest.raises(IndexError):
+            row_dots(a, b, a_idx, b_idx)
+
+
+class TestDotBuffers:
+    @pytest.mark.parametrize("k", [1, 10, 40, 32769])
+    @pytest.mark.parametrize("n", [0, 1, 100_000])
+    def test_gather_blocks_are_block_sized(self, n, k):
+        rows_a, rows_b, out = dot_buffers(n, k)
+        assert rows_a.shape == rows_b.shape
+        assert rows_a.shape[1] == k and out.shape == (n,)
+        assert 1 <= rows_a.shape[0] <= max(n, 1)
+        # one row of a very wide factor is the smallest block there is
+        assert rows_a.size <= BLOCK_ELEMENTS or rows_a.shape[0] == 1
 
 
 class TestIncidence:

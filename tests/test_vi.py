@@ -65,7 +65,8 @@ class TestElboEstimate:
         )
         hp = ModelHyperparams(2, 0.25)
         val = elbo_value_with_noise(params, empty_dataset, hp,
-                                    draw_noise(params, 4, np.random.default_rng(0)))
+                                    draw_noise(params, 4, np.random.default_rng(0)),
+                                    dot_buffers(0, 2))
         assert val == 0.0
 
     def test_no_observations_is_negative_kl(self, empty_dataset):
@@ -78,7 +79,7 @@ class TestElboEstimate:
         )
         for seed in range(3):
             noise = draw_noise(params, 2, np.random.default_rng(seed))
-            val = elbo_value_with_noise(params, empty_dataset, hp, noise)
+            val = elbo_value_with_noise(params, empty_dataset, hp, noise, dot_buffers(0, 2))
             assert val == pytest.approx(expected, abs=1e-12)
 
     def test_latent_dimension_permutation_symmetry(self):
