@@ -101,7 +101,13 @@ class ExperimentReport:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an int past float range
+        return False
+    return True
 
 
 def rmse(predictions, truths) -> float:

@@ -37,6 +37,7 @@ from .model import (
     RatingDataset,
     dot_buffers,
     log_joint,
+    prefetched,
     rating_residuals,
 )
 
@@ -108,19 +109,17 @@ def acceptance_ratio(log_g_current: float, log_g_proposed: float) -> float:
 
 
 def mh_step(state: LatentState, data: RatingDataset, hp: ModelHyperparams,
-            cfg: McmcConfig, rng, log_g_current: float):
+            draws, log_g_current: float):
     """One Metropolis-Hastings step from a state whose log joint is ``log_g_current``.
 
-    Draw order is fixed (U noise, V noise, then the acceptance uniform)
-    so a seeded generator reproduces the chain exactly. Returns
+    ``draws`` is the step's (U noise, V noise, acceptance uniform), drawn
+    in that order by :func:`run_chain` from its seeded generator. Returns
     (retained state, accepted flag, log_joint of the retained state).
     """
-    proposed = LatentState(
-        state.u + rng.normal(0.0, cfg.proposal_std, size=state.u.shape),
-        state.v + rng.normal(0.0, cfg.proposal_std, size=state.v.shape),
-    )
+    noise_u, noise_v, uniform = draws
+    proposed = LatentState(state.u + noise_u, state.v + noise_v)
     log_g_proposed = log_joint(proposed, data, hp)
-    if rng.uniform() < acceptance_ratio(log_g_current, log_g_proposed):
+    if uniform < acceptance_ratio(log_g_current, log_g_proposed):
         return proposed, True, log_g_proposed
     return state, False, log_g_current
 
@@ -158,36 +157,38 @@ class RowwiseCache:
         return cls(sq_resid=resid**2, buffers=buffers)
 
 
-def _update_rows(rows, other, own_idx, other_idx, data, cache, sigma2, cfg, rng):
+def _update_rows(rows, other, own_idx, other_idx, data, cache, sigma2, noise, uniforms):
     """MH-update every row of ``rows`` in place given ``other``.
 
     Keeps ``cache.sq_resid`` in step; returns (accepted row count,
     change in log_joint).
     """
-    proposed = rows + rng.normal(0.0, cfg.proposal_std, size=rows.shape)
+    proposed = rows + noise
     if not np.isfinite(proposed).all():
         raise ValueError("latent factors must be finite")
     resid = rating_residuals(proposed, other, own_idx, other_idx, data.rating, cache.buffers)
     sq_proposed = np.square(resid, out=resid)
     log_ratio = row_log_ratios(rows, proposed, own_idx, cache.sq_resid, sq_proposed, sigma2)
-    accept = rng.uniform(size=rows.shape[0]) < np.exp(np.minimum(0.0, log_ratio))
+    accept = uniforms < np.exp(np.minimum(0.0, log_ratio))
     np.copyto(rows, proposed, where=accept[:, None])
     np.putmask(cache.sq_resid, np.take(accept, own_idx), sq_proposed)
     return int(np.count_nonzero(accept)), float(np.sum(log_ratio[accept]))
 
 
 def rowwise_sweep(state: LatentState, data: RatingDataset, hp: ModelHyperparams,
-                  cfg: McmcConfig, rng, cache: RowwiseCache, log_g_current: float):
+                  draws, cache: RowwiseCache, log_g_current: float):
     """One row-blocked sweep: all user rows given V, then all item rows given U.
 
-    Updates ``state`` and ``cache`` in place. Draw order is fixed (user
-    noise, user uniforms, item noise, item uniforms). Returns (fraction
-    of row proposals accepted, log_joint of the new state).
+    Updates ``state`` and ``cache`` in place. ``draws`` is the sweep's
+    (user noise, user uniforms, item noise, item uniforms), drawn in that
+    order by :func:`run_chain` from its seeded generator. Returns
+    (fraction of row proposals accepted, log_joint of the new state).
     """
+    noise_u, uniforms_u, noise_v, uniforms_v = draws
     n_u, d_u = _update_rows(state.u, state.v, data.user_idx, data.item_idx, data,
-                            cache, hp.sigma2, cfg, rng)
+                            cache, hp.sigma2, noise_u, uniforms_u)
     n_v, d_v = _update_rows(state.v, state.u, data.item_idx, data.user_idx, data,
-                            cache, hp.sigma2, cfg, rng)
+                            cache, hp.sigma2, noise_v, uniforms_v)
     return (n_u + n_v) / (data.n_users + data.n_items), log_g_current + d_u + d_v
 
 
@@ -200,27 +201,33 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
     valid only during the call, and must not be modified.
     """
     rng = np.random.default_rng(cfg.seed)
+    size_u, size_v, std = (data.n_users, hp.k), (data.n_items, hp.k), cfg.proposal_std
     # the chain starts from a draw of the standard-normal prior
-    state = LatentState(
-        rng.normal(0.0, 1.0, size=(data.n_users, hp.k)),
-        rng.normal(0.0, 1.0, size=(data.n_items, hp.k)),
-    )
+    state = LatentState(rng.normal(0.0, 1.0, size=size_u), rng.normal(0.0, 1.0, size=size_v))
     log_g = log_joint(state, data, hp)
     if not np.isfinite(log_g):
         raise BpmfError("non-finite log joint at initialization")
 
     cache = RowwiseCache.for_state(state, data) if cfg.proposal == "rowwise" else None
+
+    def draw():  # one step's random numbers, in the order its kernel documents
+        if cache is None:
+            return rng.normal(0.0, std, size_u), rng.normal(0.0, std, size_v), rng.uniform()
+        return (rng.normal(0.0, std, size_u), rng.uniform(size=data.n_users),
+                rng.normal(0.0, std, size_v), rng.uniform(size=data.n_items))
+
     energies, accepted = [], []
-    for t in range(cfg.n_steps):
-        try:  # a step raises ValueError only from the finite check on its proposal
-            if cache is None:
-                state, acc, log_g = mh_step(state, data, hp, cfg, rng, log_g_current=log_g)
-            else:
-                acc, log_g = rowwise_sweep(state, data, hp, cfg, rng, cache, log_g)
-        except ValueError:
-            raise DivergenceError("proposal overflowed (reduce proposal_std)", t) from None
-        energies.append(log_g)
-        accepted.append(acc)
-        if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
-            on_sample(state)
+    with prefetched(draw, cfg.n_steps, (data.n_users + data.n_items) * (hp.k + 1)) as steps:
+        for t, draws in enumerate(steps):
+            try:  # a step raises ValueError only from the finite check on its proposal
+                if cache is None:
+                    state, acc, log_g = mh_step(state, data, hp, draws, log_g_current=log_g)
+                else:
+                    acc, log_g = rowwise_sweep(state, data, hp, draws, cache, log_g)
+            except ValueError:
+                raise DivergenceError("proposal overflowed (reduce proposal_std)", t) from None
+            energies.append(log_g)
+            accepted.append(acc)
+            if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
+                on_sample(state)
     return ChainTrace(energies=np.array(energies), accepted=np.array(accepted))

@@ -23,6 +23,7 @@ from .model import (
     denormalize_rating,
     dot_buffers,
     log_likelihood_sum,
+    prefetched,
     residual_log_likelihood,
     row_dots,
     scatter_rows,
@@ -168,9 +169,10 @@ def init_params(n_users: int, n_items: int, k: int, cfg: ViConfig) -> Variationa
 def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     """Fixed-rate gradient ascent on the ELBO; returns (params, elbo trace).
 
-    Gradients use fresh noise every epoch; the per-epoch trace entry is
-    recorded with the same fixed monitoring noise each time (common
-    random numbers), so trace movement reflects parameter movement
+    Gradients use fresh noise every epoch, drawn from one seeded generator
+    in epoch order (see :func:`bpmf.model.prefetched`); the per-epoch
+    trace entry is recorded with the same fixed monitoring noise each time
+    (common random numbers), so trace movement reflects parameter movement
     rather than estimator jitter. Fully deterministic given the seed.
     """
     params = init_params(data.n_users, data.n_items, hp.k, cfg)
@@ -179,10 +181,11 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     monitor = draw_noise(params, 1, np.random.default_rng(cfg.seed + 2))
     buffers = dot_buffers(data.n_ratings, hp.k)
     trace = []
+    size = cfg.mc_samples * (params.mu_u.size + params.mu_v.size)
     # overflow here is reported as a divergence error, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            noise = draw_noise(params, cfg.mc_samples, rng)
+    with (prefetched(lambda: draw_noise(params, cfg.mc_samples, rng), cfg.epochs, size) as draws,
+          np.errstate(over="ignore", invalid="ignore")):
+        for epoch, noise in enumerate(draws):
             value, grad = elbo_with_noise(params, data, hp, noise, buffers)
             if not np.isfinite(value):
                 raise DivergenceError("ELBO became non-finite (reduce learning_rate)", epoch)
@@ -209,7 +212,8 @@ def vi_predict_batch(params: VariationalParams, user_idx, item_idx, scale: Ratin
     rng = np.random.default_rng(0)
     s_u, s_v = np.exp(params.log_s_u), np.exp(params.log_s_v)
     mean = PosteriorMean(user_idx, item_idx)
-    for _ in range(PREDICT_SAMPLES):
-        [(eps_u, eps_v)] = draw_noise(params, 1, rng)
-        mean.add(LatentState(params.mu_u + s_u * eps_u, params.mu_v + s_v * eps_v))
+    with prefetched(lambda: draw_noise(params, 1, rng), PREDICT_SAMPLES,
+                    params.mu_u.size + params.mu_v.size) as draws:
+        for [(eps_u, eps_v)] in draws:
+            mean.add(LatentState(params.mu_u + s_u * eps_u, params.mu_v + s_v * eps_v))
     return mean.ratings(scale)

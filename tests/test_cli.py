@@ -243,6 +243,18 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith(f"bpmf: {bad}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", ["rmse_test", "loss_trace", "timings"])
+    def test_integer_past_float_range_is_usage_error(self, field, two_reports, tmp_path, capsys):
+        good = json.loads(two_reports[0].read_text())
+        huge = 10**400  # a JSON integer that no float holds
+        value = {"rmse_test": huge, "loss_trace": [*good["loss_trace"], huge],
+                 "timings": {**good["timings"], "train": huge}}[field]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**good, field: value}))
+        assert run_cli("compare", str(two_reports[0]), str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bpmf: {bad}: not a bpmf report: ") and err.count("\n") == 1
+
     def test_no_arguments_is_usage_error(self):
         assert run_cli("compare") == 1
 

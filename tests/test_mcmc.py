@@ -2,6 +2,7 @@
 chain mechanics, determinism, and prior-sampling sanity."""
 
 import copy
+import threading
 
 import numpy as np
 import pytest
@@ -110,7 +111,8 @@ class TestMhStep:
         cfg = joint(n_steps=10, burn_in=0, proposal_std=1e-12)
         state = LatentState(np.array([[0.3]]), np.array([[0.2]]))
         accepted = [
-            mh_step(state, tiny_dataset, hp, cfg, np.random.default_rng(s),
+            mh_step(state, tiny_dataset, hp,
+                    joint_draws(np.random.default_rng(s), cfg.proposal_std, state),
                     log_joint(state, tiny_dataset, hp))[1]
             for s in range(50)
         ]
@@ -130,7 +132,8 @@ class TestMhStep:
         hp = ModelHyperparams(1, 0.1)
         cfg = joint(n_steps=10, burn_in=0, proposal_std=5.0)
         state = LatentState(np.array([[0.0]]), np.array([[0.0]]))
-        new, accepted, _ = mh_step(state, tiny_dataset, hp, cfg, ForcedRng(),
+        new, accepted, _ = mh_step(state, tiny_dataset, hp,
+                                   joint_draws(ForcedRng(), cfg.proposal_std, state),
                                    log_joint(state, tiny_dataset, hp))
         assert accepted
         assert new.u[0, 0] != 0.0 or new.v[0, 0] != 0.0
@@ -142,7 +145,8 @@ class TestMhStep:
         state = LatentState(np.array([[0.1]]), np.array([[0.1]]))
         saw_rejection = False
         for _ in range(200):
-            new, accepted, _ = mh_step(state, tiny_dataset, hp, cfg, rng,
+            new, accepted, _ = mh_step(state, tiny_dataset, hp,
+                                       joint_draws(rng, cfg.proposal_std, state),
                                        log_joint(state, tiny_dataset, hp))
             if not accepted:
                 saw_rejection = True
@@ -178,8 +182,8 @@ class TestRunChain:
         class Stop(Exception):
             pass
 
-        sweep = mcmc.rowwise_sweep
-        calls = []
+        sweep, prefetched = mcmc.rowwise_sweep, mcmc.prefetched
+        calls, draws = [], []
 
         def three_sweeps(*args):
             calls.append(None)
@@ -187,11 +191,28 @@ class TestRunChain:
                 raise Stop
             return sweep(*args)
 
+        def counted(draw, count, size):
+            def counted_draw():
+                draws.append(None)
+                return draw()
+            return prefetched(counted_draw, count, size)
+
         monkeypatch.setattr(mcmc, "rowwise_sweep", three_sweeps)
+        monkeypatch.setattr(mcmc, "prefetched", counted)
         cfg = McmcConfig(n_steps=10**30, burn_in=0, proposal="rowwise", proposal_std=0.5)
-        with pytest.raises(Stop):
-            run_chain(tiny_dataset, ModelHyperparams(1, 0.1), cfg, lambda state: None)
-        assert len(calls) == 4
+        # sweeps drawn on the caller's thread, then on the worker (21,000 numbers a sweep)
+        for data, hp in ((tiny_dataset, ModelHyperparams(1, 0.1)),
+                         (make_dataset(400, 600, 3000), ModelHyperparams(20, 0.25))):
+            calls.clear()
+            draws.clear()
+            threads = threading.active_count()
+            with pytest.raises(Stop) as stopped:
+                run_chain(data, hp, cfg, lambda state: None)
+            assert len(calls) == 4
+            # drawn at most one sweep ahead, and the worker is gone although
+            # the traceback still holds run_chain's frame
+            assert len(draws) <= len(calls) + 1
+            assert stopped.traceback and threading.active_count() == threads
 
     def test_energies_always_finite(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
@@ -231,6 +252,17 @@ class RecordingRng:
     def uniform(self, size=None):
         self.uniforms.append(self.inner.uniform(size=size))
         return self.uniforms[-1]
+
+
+def joint_draws(rng, std, state):
+    """One joint step's random numbers, drawn in the order ``mh_step`` documents."""
+    return rng.normal(0.0, std, state.u.shape), rng.normal(0.0, std, state.v.shape), rng.uniform()
+
+
+def rowwise_draws(rng, std, state):
+    """One sweep's random numbers, drawn in the order ``rowwise_sweep`` documents."""
+    return (rng.normal(0.0, std, state.u.shape), rng.uniform(size=state.u.shape[0]),
+            rng.normal(0.0, std, state.v.shape), rng.uniform(size=state.v.shape[0]))
 
 
 def joint(**kw):
@@ -283,7 +315,7 @@ class TestRowwiseKernel:
         state = LatentState(init.normal(size=(4, 2)), init.normal(size=(5, 2)))
         before = copy.deepcopy(state)
         rng = RecordingRng(5)
-        frac, log_g = rowwise_sweep(state, data, hp, cfg, rng,
+        frac, log_g = rowwise_sweep(state, data, hp, rowwise_draws(rng, cfg.proposal_std, state),
                                     RowwiseCache.for_state(before, data),
                                     log_joint(before, data, hp))
 
