@@ -88,19 +88,14 @@ class RatingDataset:
 
     @cached_property
     def incidence(self):
-        """Each side's rating pattern, users then items, built on first use and
-        kept (so the indices must not change): ``(indptr, order, other, shape)``.
-        ``order`` lists the rating indices by own row, row r's at
-        ``indptr[r]:indptr[r+1]`` in rating order; ``other`` holds their rows
-        on the other side; ``shape`` is (own rows, other rows)."""
-        sides = []
-        for own, other, shape in ((self.user_idx, self.item_idx, (self.n_users, self.n_items)),
-                                  (self.item_idx, self.user_idx, (self.n_items, self.n_users))):
-            # the COO -> CSR conversion is a counting sort, stable within each
-            # row, and it carries each rating's other-side row along as the data
-            csr = sparse.csr_matrix((other, (own, np.arange(own.size))), shape=(shape[0], own.size))
-            sides.append((csr.indptr, csr.indices, csr.data.astype(csr.indices.dtype), shape))
-        return tuple(sides)
+        """Each side's rating pattern, users x items then items x users, built once
+        on first use (so the indices must not change): two ``coo_matrix`` sharing
+        one pair of index arrays, whose entries are the ratings in rating order."""
+        by_user = sparse.coo_matrix((self.rating, (self.user_idx, self.item_idx)),
+                                    shape=(self.n_users, self.n_items))
+        by_item = sparse.coo_matrix((self.rating, (by_user.col, by_user.row)),
+                                    shape=(self.n_items, self.n_users), copy=False)
+        return by_user, by_item
 
 
 @dataclass
@@ -131,9 +126,10 @@ class ModelHyperparams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        # the likelihood's normalizer takes log(2 pi sigma2), which must not overflow
-        if not (self.sigma2 > 0 and np.isfinite(2.0 * np.pi * float(self.sigma2))):
-            raise ValueError("sigma2 must be positive, with 2 * pi * sigma2 finite")
+        # the likelihood takes log(2 pi sigma2) and divides by sigma2; a float division gives inf
+        if not (self.sigma2 > 0 and np.isfinite(2.0 * np.pi * float(self.sigma2))
+                and np.isfinite(1.0 / float(self.sigma2))):
+            raise ValueError("sigma2 must be positive, with 2 * pi * sigma2 and 1 / sigma2 finite")
 
 
 def sigmoid(x):
@@ -211,10 +207,11 @@ def rating_residuals(a, b, a_idx, b_idx, rating, buffers=None):
 def scatter_rows(side, weights, x):
     """For each own row of ``side`` (a pattern from ``RatingDataset.incidence``),
     the sum over its ratings r, in rating order, of ``weights[r] * x[other_r]``:
-    the terms and order of a 0/1 incidence matrix times the per-rating
-    products, so the same sums bit for bit, without those n_ratings x k products."""
-    indptr, order, other, shape = side
-    return sparse.csr_matrix((weights[order], other, indptr), shape=shape) @ x
+    the terms and order of a 0/1 incidence matrix times the per-rating products,
+    bit for bit, with no n_ratings array written. It sets the pattern's data to
+    ``weights``, so only the caller's thread may scatter (the prefetch worker only draws noise)."""
+    side.data = weights
+    return side @ x
 
 
 def residual_log_likelihood(resid, sigma2: float) -> float:

@@ -228,6 +228,19 @@ class TestCarriedGathers:
         # one pass for the initial residual, one per half-epoch; the loss takes none
         assert calls == {"row_dots": 1 + 2 * epochs, "mf_epoch": epochs, "mf_loss": epochs}
 
+    def test_two_scatters_per_epoch(self, monkeypatch):
+        calls = []
+
+        def counted(side, weights, x):
+            calls.append(side)
+            return scatter_rows(side, weights, x)
+
+        monkeypatch.setattr(bpmf.baseline, "scatter_rows", counted)
+        epochs = 7
+        mf_train(make_dataset(5, 6, 18, seed=8), ModelHyperparams(3, 0.25),
+                 MfConfig(alpha=0.05, epochs=epochs))
+        assert len(calls) == 2 * epochs
+
     def test_no_full_gather_on_a_multi_block_dataset(self, monkeypatch):
         k = 40
         data = make_dataset(60, 80, 3 * BLOCK_ELEMENTS // k + 5, seed=2)

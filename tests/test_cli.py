@@ -142,9 +142,12 @@ class TestRun:
         ("mf", "--lr", "inf"), ("mcmc", "--sigma2", "inf"), ("mcmc", "--proposal-std", "inf"),
         # finite, but log(2 pi sigma2) overflows
         ("vi", "--sigma2", "1e308"), ("mf", "--sigma2", "1e308"), ("mcmc", "--sigma2", "1e308"),
+        # subnormal: 1 / sigma2 overflows
+        ("vi", "--sigma2", "1e-320"), ("mf", "--sigma2", "1e-320"), ("mcmc", "--sigma2", "1e-320"),
     ], ids=["vi---sigma2", "vi---lr", "mf---sigma2", "mf---lr", "mcmc---sigma2",
             "mcmc---proposal-std", "vi---sigma2-1e308", "mf---sigma2-1e308",
-            "mcmc---sigma2-1e308"])
+            "mcmc---sigma2-1e308", "vi---sigma2-1e-320", "mf---sigma2-1e-320",
+            "mcmc---sigma2-1e-320"])
     def test_infinite_float_setting_is_usage_error(self, engine, flag, value, tmp_path, capsys):
         assert_usage_error_before_loading(tmp_path, capsys, engine, flag, value)
 

@@ -1,6 +1,7 @@
 """Unit and property tests for the core rating model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from bpmf.model import (
     sigmoid,
 )
 
-from conftest import log_likelihood_entry, predict_point
+from conftest import log_likelihood_entry, make_dataset, predict_point
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -136,9 +137,10 @@ class TestLogLikelihoodEntry:
 class TestModelHyperparams:
     @pytest.mark.filterwarnings("error")  # a numpy scalar must not overflow in the check
     @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.inf, math.nan, 1e308, 2.9e307,
-                                        np.float64(1e308)])
+                                        np.float64(1e308), 1e-320, 5e-324])
     def test_rejects_sigma2_whose_normalizer_overflows(self, sigma2):
-        # log(2 pi sigma2) is infinite from about 2.86e307 on
+        # log(2 pi sigma2) is infinite from about 2.86e307 on, 1 / sigma2 below
+        # about 5.6e-309
         with pytest.raises(ValueError):
             ModelHyperparams(1, sigma2)
 
@@ -288,6 +290,58 @@ class TestIncidence:
                 expected = self.incidence_product(own_idx, n_own, weights, x[other_idx])
                 assert got.dtype == expected.dtype
                 np.testing.assert_array_equal(got, expected)
+
+    @staticmethod
+    def sides(data):
+        by_user, by_item = data.incidence
+        return ((by_user, data.user_idx, data.item_idx, data.n_users, data.n_items),
+                (by_item, data.item_idx, data.user_idx, data.n_items, data.n_users))
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 40])
+    def test_shuffled_ratings_match_the_incidence_product(self, k):
+        data = make_dataset(70, 90, 3000, seed=k)  # drawn in no row order
+        rng = np.random.default_rng(k)
+        weights = rng.normal(size=data.n_ratings)
+        for side, own_idx, other_idx, n_own, n_other in self.sides(data):
+            x = rng.normal(size=(n_other, k))
+            got = scatter_rows(side, weights, x)
+            expected = self.incidence_product(own_idx, n_own, weights, x[other_idx])
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+    def test_successive_scatters_keep_no_stale_weights(self):
+        data = make_dataset(20, 30, 400, seed=3)
+        rng = np.random.default_rng(3)
+        for side, own_idx, other_idx, n_own, n_other in self.sides(data):
+            x = rng.normal(size=(n_other, 4))
+            for weights in (rng.normal(size=data.n_ratings), rng.normal(size=data.n_ratings)):
+                np.testing.assert_array_equal(
+                    scatter_rows(side, weights, x),
+                    self.incidence_product(own_idx, n_own, weights, x[other_idx]))
+
+    @pytest.mark.parametrize("length", [399, 401, 0])
+    def test_weights_of_the_wrong_length_raise(self, length):
+        data = make_dataset(20, 30, 400, seed=4)
+        for side, *_, n_other in self.sides(data):
+            with pytest.raises(ValueError):
+                scatter_rows(side, np.ones(length), np.ones((n_other, 2)))
+
+    def test_both_sides_share_one_pair_of_index_arrays(self):
+        by_user, by_item = make_dataset(20, 30, 400, seed=5).incidence
+        assert by_item.row is by_user.col and by_item.col is by_user.row
+
+    def test_a_scatter_copies_no_weights(self):
+        # a per-call gather of the weights would take n_ratings * 8 bytes
+        data = make_dataset(400, 500, 100_000, seed=6)
+        by_user, _ = data.incidence
+        weights, x = np.ones(data.n_ratings), np.ones((data.n_items, 1))
+        tracemalloc.start()
+        try:
+            scatter_rows(by_user, weights, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.n_ratings * 8
 
 
 class TestPredictPoint:
