@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .model import LatentState, ModelHyperparams, RatingDataset, dot_buffers, row_dots, scatter_rows
+from .model import (LatentState, ModelHyperparams, RatingDataset, dot_buffers, lending_patterns,
+                    row_dots, scatter_rows)
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,12 @@ def mf_train(data: RatingDataset, hp: ModelHyperparams, cfg: MfConfig):
     state = init_state(data.n_users, data.n_items, hp.k, cfg)
     buffers = mf_residual(state, data)
     trace = []
-    for epoch in range(cfg.epochs):
-        try:  # an epoch raises ValueError only from the finite check on its update
-            state = mf_epoch(state, data, cfg, buffers)
-        except ValueError:
-            raise DivergenceError("matrix factorization diverged (reduce alpha)", epoch) from None
-        trace.append(mf_loss(buffers))
+    with lending_patterns(data):
+        for epoch in range(cfg.epochs):
+            try:  # an epoch raises ValueError only from the finite check on its update
+                state = mf_epoch(state, data, cfg, buffers)
+            except ValueError:
+                raise DivergenceError("matrix factorization diverged (reduce alpha)",
+                                      epoch) from None
+            trace.append(mf_loss(buffers))
     return state, trace

@@ -12,6 +12,9 @@ import codecs
 import csv
 import io
 import math
+import operator
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +36,8 @@ _FAST_HEADERS = tuple(",".join(EXPECTED_HEADER).encode() + end for end in (b"\n"
 _FAST_BYTES = b"0123456789,.\r\n"
 _COLUMNS = np.dtype([("user_id", np.int64), ("movie_id", np.int64), ("rating", np.float64)])
 _INT64 = np.iinfo(np.int64)
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # names np.loadtxt would decompress
+_IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 @dataclass
@@ -66,16 +71,18 @@ def load_ratings(source):
     r_min = 0.5 when any half-star rating is present, else 1.
 
     Files of plain digits, commas, dots and newlines are parsed as whole
-    columns; any other file, and any file that breaks a rule, goes
-    through the row loop, which raises ``DataFormatError`` with the line
-    number of the first offending row.
+    columns, a regular file by numpy from its path; other files, and files
+    that break a rule, go through the row loop, which raises
+    ``DataFormatError`` with the line number of the first offending row.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
+            opened = os.fstat(fh.fileno())
             data = fh.read().removeprefix(codecs.BOM_UTF8)
+        columns = _parse_columns(data, os.path.abspath(source), opened)
     else:
         data = source.read().encode("utf-8")
-    columns = _parse_columns(data)
+        columns = _parse_columns(data)
     if columns is None:
         columns = _parse_rows(_decode(data))
     return columns, _detect_scale(columns[2])
@@ -96,22 +103,32 @@ def _decode(data: bytes) -> str:
         raise DataFormatError(f"invalid UTF-8: {exc.reason}", line=line) from None
 
 
-def _parse_columns(data: bytes):
-    """Whole-column parse; None when the file needs the row loop."""
+def _parse_columns(data: bytes, path=None, opened=None):
+    """Whole-column parse; None when the file needs the row loop. The checks run
+    on ``data``; numpy reads a regular file ``path`` itself, in chunks, if its stat
+    still equals ``opened`` after. Streams, pipes and names numpy would decompress
+    are parsed from ``data``."""
     header = next((h for h in _FAST_HEADERS if data.startswith(h)), None)
     if header is None:
         return None
     body = data[len(header):]
     if body.translate(None, _FAST_BYTES) or not _lines_within_csv_limit(body):
         return None
+    if path is not None and (not stat.S_ISREG(opened.st_mode) or path.endswith(_COMPRESSED)):
+        path = None
     try:
         with warnings.catch_warnings():
             # loadtxt only warns on an empty body
             warnings.simplefilter("error")
             table = np.loadtxt(
-                io.TextIOWrapper(io.BytesIO(body), encoding="ascii", newline=""),
-                delimiter=",", usecols=(0, 1, 2), comments=None, dtype=_COLUMNS, ndmin=1,
+                path or io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=""),
+                encoding="utf-8-sig", skiprows=1, delimiter=",", usecols=(0, 1, 2),
+                comments=None, dtype=_COLUMNS, ndmin=1,
             )
+        if path is not None and _IDENTITY(os.stat(path)) != _IDENTITY(opened):
+            raise OSError("the file changed while it was parsed")
+    except OSError:
+        return None if path is None else _parse_columns(data)
     except (ValueError, Warning):
         return None
     users, movies, ratings = (np.ascontiguousarray(table[name]) for name in _COLUMNS.names)
@@ -136,20 +153,12 @@ def _lines_within_csv_limit(body: bytes) -> bool:
 def _may_repeat_a_pair(users, movies) -> bool:
     """Whether a (user, movie) pair repeats; also True when packing the
     pair into one int64 key could overflow."""
-    m_min = int(movies.min())
+    m_min, u_min = int(movies.min()), int(users.min())
     m_span = int(movies.max()) - m_min + 1
-    u_min = _packing_base(users, m_span)
-    if u_min is None:
+    if (int(users.max()) - u_min + 1) * m_span > _INT64.max:
         return True
     keys = np.sort((users - u_min) * m_span + (movies - m_min))
     return bool(np.any(keys[1:] == keys[:-1]))
-
-
-def _packing_base(major, minor_span: int):
-    """``min(major)``, or None when the int64 keys ``(major - min(major)) *
-    minor_span + minor``, minor in [0, minor_span), could overflow."""
-    lo = int(major.min())
-    return None if (int(major.max()) - lo + 1) * minor_span > _INT64.max else lo
 
 
 def _parse_rows(text: str):
@@ -203,12 +212,21 @@ def _read_rows(reader):
 
 
 def _first_appearance(ids):
-    """Distinct IDs in first-appearance order, and each entry's dense index."""
+    """Distinct IDs in first-appearance order, and each entry's dense index: through
+    a lookup table when the ID span is at most ``ids.size``, else packed keys."""
     n = ids.size
-    lo = _packing_base(ids, n)
+    lo = int(ids.min())
+    span = int(ids.max()) - lo + 1
+    if span <= n:
+        offsets = ids - lo  # each ID's first position, then its rank, at its offset
+        table = np.full(span, n)
+        np.minimum.at(table, offsets, np.arange(n))
+        first = table[table < n]  # by ascending ID
+        table[table < n] = np.argsort(np.argsort(first))
+        return ids[np.sort(first)], table[offsets]
     # entry positions grouped by ID, each group's first appearance first: one
     # sort of packed keys, about 3x faster than np.unique on numpy 2.4
-    if lo is None:
+    if span * n > _INT64.max:
         order = np.argsort(ids, kind="stable")
         grouped = ids[order]
     else:

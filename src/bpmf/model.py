@@ -214,6 +214,19 @@ def scatter_rows(side, weights, x):
     return side @ x
 
 
+@contextmanager
+def lending_patterns(data: RatingDataset):
+    """Lend ``data.incidence`` to a training loop, whose scatters leave their weights
+    in the patterns; at exit, by return or raise, both patterns get the ratings back.
+    (Freeing each scatter's weights at once made glibc hand VI's heap top back to the
+    system after every epoch and fault it in again: 19x the page faults, VI 14% slower.)"""
+    try:
+        yield
+    finally:
+        for side in data.incidence:
+            side.data = data.rating
+
+
 def residual_log_likelihood(resid, sigma2: float) -> float:
     """Gaussian log density of a vector of rating residuals, constants included."""
     return float(

@@ -22,6 +22,7 @@ from .model import (
     RatingScale,
     denormalize_rating,
     dot_buffers,
+    lending_patterns,
     log_likelihood_sum,
     prefetched,
     residual_log_likelihood,
@@ -184,7 +185,7 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     size = cfg.mc_samples * (params.mu_u.size + params.mu_v.size)
     # overflow here is reported as a divergence error, not a warning
     with (prefetched(lambda: draw_noise(params, cfg.mc_samples, rng), cfg.epochs, size) as draws,
-          np.errstate(over="ignore", invalid="ignore")):
+          np.errstate(over="ignore", invalid="ignore"), lending_patterns(data)):
         for epoch, noise in enumerate(draws):
             value, grad = elbo_with_noise(params, data, hp, noise, buffers)
             if not np.isfinite(value):

@@ -2,6 +2,9 @@
 
 import codecs
 import io
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,6 +199,80 @@ class TestColumnarIngest:
         (_, _, ratings), _ = load_ratings(ratings_csv_path)
         assert ratings.size == 100_836
 
+    def test_regular_file_is_read_by_path(self, whole_star_csv, monkeypatch):
+        sources = spy_loadtxt(monkeypatch)
+        monkeypatch.chdir(whole_star_csv.parent)
+        columns, scale = load_ratings(whole_star_csv.name)
+        assert sources == [os.path.join(os.getcwd(), whole_star_csv.name)]
+        assert_same_columns(columns, reference_load(whole_star_csv.read_text())[0])
+
+    @pytest.mark.parametrize("change", ["rewritten", "removed"])
+    def test_file_changed_after_the_read_is_parsed_from_memory(self, change, tmp_path,
+                                                               monkeypatch):
+        path = tmp_path / "ratings.csv"
+        path.write_text(HEADER + SAMPLE_ROWS)
+        if change == "rewritten":
+            # the same size, and a stat that differs even within one timestamp tick
+            def touch(name):
+                path.write_text(HEADER + SAMPLE_ROWS.replace(",5,", ",2,"))
+            real_stat = os.stat
+
+            def stat(name, *args, **kwargs):
+                st = real_stat(name, *args, **kwargs)
+                return mock.Mock(wraps=st, st_dev=st.st_dev, st_ino=st.st_ino,
+                                 st_size=st.st_size, st_mtime_ns=st.st_mtime_ns + 1)
+
+            monkeypatch.setattr(os, "stat", stat)
+        else:
+            def touch(name):
+                path.unlink()
+        sources = spy_loadtxt(monkeypatch, touch)
+        columns, _ = load_ratings(path)
+        assert sources[0] == str(path) and not isinstance(sources[1], str)
+        assert_same_columns(columns, reference_load(HEADER + SAMPLE_ROWS)[0])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "ratings.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(HEADER + SAMPLE_ROWS,))
+        writer.start()
+
+        def reopen(name):
+            raise AssertionError("numpy would open the pipe a second time")
+
+        sources = spy_loadtxt(monkeypatch, reopen)
+        try:
+            columns, _ = load_ratings(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive() and len(sources) == 1
+        assert_same_columns(columns, reference_load(HEADER + SAMPLE_ROWS)[0])
+
+    def test_compressed_name_is_parsed_from_memory(self, tmp_path, monkeypatch):
+        # numpy would open this name through gzip
+        path = tmp_path / "ratings.csv.gz"
+        path.write_text(HEADER + SAMPLE_ROWS)
+        sources = spy_loadtxt(monkeypatch)
+        columns, _ = load_ratings(path)
+        assert len(sources) == 1 and not isinstance(sources[0], str)
+        assert_same_columns(columns, reference_load(HEADER + SAMPLE_ROWS)[0])
+
+
+def spy_loadtxt(monkeypatch, before_path_read=None):
+    """Record every source np.loadtxt gets; call ``before_path_read`` with a
+    path before numpy opens it."""
+    sources, real = [], np.loadtxt
+
+    def loadtxt(source, *args, **kwargs):
+        sources.append(source)
+        if isinstance(source, str) and before_path_read is not None:
+            before_path_read(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    return sources
+
 
 def _number(value):
     return st.sampled_from([str(value), f"{value:03d}", f"{value}.0", f"+{value}",
@@ -255,18 +332,26 @@ def scratch_csv(tmp_path_factory):
 def test_columnar_parse_matches_row_loop(scratch_csv, body, bom, crlf_header):
     text = HEADER.replace("\n", "\r\n" if crlf_header else "\n") + body
     scratch_csv.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode())
+    fast = data_module._parse_columns(text.encode())
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        by_path = data_module._parse_columns(text.encode(), str(scratch_csv),
+                                             os.stat(scratch_csv))
+    # numpy read the file itself: no quiet fall-back to the bytes in memory
+    assert all(isinstance(call.args[0], str) for call in loadtxt.call_args_list)
+    assert (by_path is None) == (fast is None)
+    if fast is not None:
+        assert_same_columns(by_path, fast)
     try:
         expected = reference_load(text)
     except DataFormatError as exc:
         event("rejected")
         # whatever the row loop rejects, the columnar parser rejects too
-        assert data_module._parse_columns(text.encode()) is None
+        assert fast is None
         for source in (scratch_csv, io.StringIO(text)):
             with pytest.raises(DataFormatError) as err:
                 load_ratings(source)
             assert err.value.line == exc.line
         return
-    fast = data_module._parse_columns(text.encode())
     event("accepted by the row loop only" if fast is None else "accepted by both parsers")
     if fast is not None:
         assert_same_columns(fast, expected[0])
@@ -363,11 +448,47 @@ class TestFirstAppearance:
     ], ids=["repeats", "wide-ids", "single", "constant", "int64-edges", "int64-spread"])
     def test_matches_unique_reference(self, ids, fallback):
         ids = ids.astype(np.int64)
-        assert (data_module._packing_base(ids, ids.size) is None) == fallback
+        span = int(ids.max()) - int(ids.min()) + 1
+        assert (span * ids.size > _INT64.max) == fallback
         got, expected = data_module._first_appearance(ids), unique_first_appearance(ids)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+
+
+def dict_first_appearance(ids):
+    """A dict filled in first-appearance order: the plainest remap."""
+    index = {}
+    dense = [index.setdefault(i, len(index)) for i in ids]
+    return list(index), dense
+
+
+@st.composite
+def id_columns(draw):
+    """(kind, IDs): dense spans either side of the table bound, sparse, int64 edges."""
+    kind = draw(st.sampled_from(["span n", "span n+1", "sparse", "int64 edges", "single"]))
+    if kind == "single":
+        return kind, [draw(st.integers(_INT64.min, _INT64.max))]
+    n = draw(st.integers(2, 60))
+    if kind == "int64 edges":
+        near = st.sampled_from([_INT64.min, _INT64.min + 1, -1, 0, 1, _INT64.max - 1, _INT64.max])
+        ids = [_INT64.min, _INT64.max] + draw(st.lists(near, min_size=n - 2, max_size=n - 2))
+    else:
+        span = {"span n": n, "span n+1": n + 1}.get(kind) or draw(st.integers(n + 2, 10**12))
+        lo = draw(st.integers(-10**15, 10**15))  # negative IDs too
+        inner = draw(st.lists(st.integers(0, span - 1), min_size=n - 2, max_size=n - 2))
+        ids = [lo + offset for offset in [0, span - 1] + inner]
+    return kind, draw(st.permutations(ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_columns())
+def test_first_appearance_matches_dict_reference(case):
+    kind, ids = case
+    event(kind)
+    distinct, index = data_module._first_appearance(np.array(ids, dtype=np.int64))
+    assert (distinct.dtype, index.dtype) == (np.int64, np.int64)
+    assert (distinct.tolist(), index.tolist()) == dict_first_appearance(ids)
 
 
 class TestSplitDataset:

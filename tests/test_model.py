@@ -1,7 +1,9 @@
 """Unit and property tests for the core rating model."""
 
+import contextlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from bpmf import baseline, vi
+from bpmf.baseline import MfConfig, mf_train
 from bpmf.data import build_dataset
+from bpmf.errors import DivergenceError
 from bpmf.model import (
     BLOCK_ELEMENTS,
     LatentState,
@@ -23,6 +28,7 @@ from bpmf.model import (
     scatter_rows,
     sigmoid,
 )
+from bpmf.vi import ViConfig, vi_train
 
 from conftest import log_likelihood_entry, make_dataset, predict_point
 
@@ -342,6 +348,35 @@ class TestIncidence:
         finally:
             tracemalloc.stop()
         assert peak < data.n_ratings * 8
+
+    def test_training_gives_both_patterns_their_ratings_back(self):
+        data = make_dataset(30, 40, 600, seed=7)
+        by_user, by_item = data.incidence
+        assert by_user.data is data.rating and by_item.data is data.rating
+        for train, cfg in ((vi_train, ViConfig(epochs=2)), (mf_train, MfConfig(epochs=2))):
+            train(data, ModelHyperparams(3, 0.25), cfg)
+            assert by_user.data is data.rating and by_item.data is data.rating
+
+    @pytest.mark.parametrize("module,train,cfg,diverges", [
+        (vi, vi_train, ViConfig(epochs=2), False),
+        (baseline, mf_train, MfConfig(epochs=2), False),
+        # the patterns are given back when training raises, too
+        (baseline, mf_train, MfConfig(alpha=1e6, epochs=50), True),
+    ], ids=["vi", "mf", "mf-divergence"])
+    def test_no_scattered_weights_outlive_training(self, module, train, cfg, diverges,
+                                                   monkeypatch):
+        data = make_dataset(30, 40, 600, seed=8)
+        lent = []
+
+        def scatter(side, weights, x):
+            lent.append(weakref.ref(weights))
+            return scatter_rows(side, weights, x)
+
+        monkeypatch.setattr(module, "scatter_rows", scatter)
+        with pytest.raises(DivergenceError) if diverges else contextlib.nullcontext():
+            train(data, ModelHyperparams(3, 0.25), cfg)
+        assert lent and all(ref() is None for ref in lent)
+        assert all(side.data is data.rating for side in data.incidence)
 
 
 class TestPredictPoint:
