@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .model import (LatentState, ModelHyperparams, RatingDataset, dot_buffers, lending_patterns,
+from .model import (LatentState, ModelHyperparams, RatingDataset, dot_buffers, rating_patterns,
                     row_dots, scatter_rows)
 
 
@@ -59,12 +59,14 @@ def _check_shapes(state: LatentState, data: RatingDataset):
         )
 
 
-def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig, buffers) -> LatentState:
-    """One full-batch update: the U block first, then V against the new U.
-    ``buffers`` must be :func:`mf_residual` of ``state``; each block recomputes
-    the residual with one :func:`row_dots`, so it ends as that of the result."""
+def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig, buffers,
+             patterns) -> LatentState:
+    """One full-batch update: the U block first, then V against the new U, scattered
+    through ``patterns`` (:func:`rating_patterns` of ``data``). ``buffers`` must be
+    :func:`mf_residual` of ``state``; each block recomputes the residual with one
+    :func:`row_dots`, so it ends as that of the result."""
     _check_shapes(state, data)
-    by_user, by_item = data.incidence
+    by_user, by_item = patterns
     resid = buffers[2]
     # overflow fails LatentState's finite check, which mf_train reports as divergence
     with np.errstate(over="ignore", invalid="ignore"):
@@ -90,14 +92,12 @@ def mf_train(data: RatingDataset, hp: ModelHyperparams, cfg: MfConfig):
     plays no part in a prior-free squared loss.
     """
     state = init_state(data.n_users, data.n_items, hp.k, cfg)
-    buffers = mf_residual(state, data)
+    buffers, patterns = mf_residual(state, data), rating_patterns(data)
     trace = []
-    with lending_patterns(data):
-        for epoch in range(cfg.epochs):
-            try:  # an epoch raises ValueError only from the finite check on its update
-                state = mf_epoch(state, data, cfg, buffers)
-            except ValueError:
-                raise DivergenceError("matrix factorization diverged (reduce alpha)",
-                                      epoch) from None
-            trace.append(mf_loss(buffers))
+    for epoch in range(cfg.epochs):
+        try:  # an epoch raises ValueError only from the finite check on its update
+            state = mf_epoch(state, data, cfg, buffers, patterns)
+        except ValueError:
+            raise DivergenceError("matrix factorization diverged (reduce alpha)", epoch) from None
+        trace.append(mf_loss(buffers))
     return state, trace

@@ -85,8 +85,8 @@ class ExperimentReport:
         if missing or unknown:
             raise DataFormatError(f"missing fields {missing}, unknown fields {unknown}")
         for name, value in payload.items():
-            if name == "config":
-                ok = isinstance(value, dict)
+            if name == "config":  # an engine, when present, must be one that bpmf runs
+                ok = isinstance(value, dict) and value.get("engine", ENGINES[0]) in ENGINES
             elif name == "loss_trace":
                 ok = isinstance(value, list) and all(_is_number(x) for x in value)
             elif name == "timings":
@@ -96,7 +96,7 @@ class ExperimentReport:
             else:
                 ok = _is_number(value)
             if not ok:
-                raise DataFormatError(f"field {name!r} has the wrong type")
+                raise DataFormatError(f"field {name!r} has the wrong type or value")
         return cls(**payload)
 
 

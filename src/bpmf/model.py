@@ -12,7 +12,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -85,17 +84,6 @@ class RatingDataset:
     @property
     def n_ratings(self) -> int:
         return int(self.rating.size)
-
-    @cached_property
-    def incidence(self):
-        """Each side's rating pattern, users x items then items x users, built once
-        on first use (so the indices must not change): two ``coo_matrix`` sharing
-        one pair of index arrays, whose entries are the ratings in rating order."""
-        by_user = sparse.coo_matrix((self.rating, (self.user_idx, self.item_idx)),
-                                    shape=(self.n_users, self.n_items))
-        by_item = sparse.coo_matrix((self.rating, (by_user.col, by_user.row)),
-                                    shape=(self.n_items, self.n_users), copy=False)
-        return by_user, by_item
 
 
 @dataclass
@@ -204,27 +192,27 @@ def rating_residuals(a, b, a_idx, b_idx, rating, buffers=None):
     return np.subtract(rating, out, out=out)
 
 
+def rating_patterns(data: RatingDataset):
+    """Each side's rating pattern, users x items then items x users: two ``coo_matrix``
+    sharing one pair of index arrays, whose entries are the ratings in rating order.
+    A training loop builds its own pair once. Its scatters leave their last weights
+    there, which keeps VI's heap top between epochs (freeing them at once gave 19x
+    the page faults, VI 14% slower), and those weights are freed with the loop."""
+    by_user = sparse.coo_matrix((data.rating, (data.user_idx, data.item_idx)),
+                                shape=(data.n_users, data.n_items))
+    by_item = sparse.coo_matrix((data.rating, (by_user.col, by_user.row)),
+                                shape=(data.n_items, data.n_users), copy=False)
+    return by_user, by_item
+
+
 def scatter_rows(side, weights, x):
-    """For each own row of ``side`` (a pattern from ``RatingDataset.incidence``),
+    """For each own row of ``side`` (a pattern from :func:`rating_patterns`),
     the sum over its ratings r, in rating order, of ``weights[r] * x[other_r]``:
     the terms and order of a 0/1 incidence matrix times the per-rating products,
     bit for bit, with no n_ratings array written. It sets the pattern's data to
-    ``weights``, so only the caller's thread may scatter (the prefetch worker only draws noise)."""
+    ``weights``, so only the pattern's owner may scatter through it."""
     side.data = weights
     return side @ x
-
-
-@contextmanager
-def lending_patterns(data: RatingDataset):
-    """Lend ``data.incidence`` to a training loop, whose scatters leave their weights
-    in the patterns; at exit, by return or raise, both patterns get the ratings back.
-    (Freeing each scatter's weights at once made glibc hand VI's heap top back to the
-    system after every epoch and fault it in again: 19x the page faults, VI 14% slower.)"""
-    try:
-        yield
-    finally:
-        for side in data.incidence:
-            side.data = data.rating
 
 
 def residual_log_likelihood(resid, sigma2: float) -> float:

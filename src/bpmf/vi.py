@@ -22,9 +22,9 @@ from .model import (
     RatingScale,
     denormalize_rating,
     dot_buffers,
-    lending_patterns,
     log_likelihood_sum,
     prefetched,
+    rating_patterns,
     residual_log_likelihood,
     row_dots,
     scatter_rows,
@@ -99,12 +99,13 @@ def draw_noise(params: VariationalParams, mc_samples: int, rng):
 
 
 def elbo_with_noise(params: VariationalParams, data: RatingDataset,
-                    hp: ModelHyperparams, noise, buffers):
+                    hp: ModelHyperparams, noise, buffers, patterns):
     """ELBO estimate and its pathwise gradient for explicit base noise.
 
     The KL-to-prior part is analytic; only the likelihood expectation is
-    averaged over the supplied noise draws. Returns (value, gradient)
-    with the gradient shaped like ``params``.
+    averaged over the supplied noise draws. The gradient scatters through
+    ``patterns``, the caller's :func:`bpmf.model.rating_patterns` of ``data``.
+    Returns (value, gradient) with the gradient shaped like ``params``.
     """
     s_u = np.exp(params.log_s_u)
     s_v = np.exp(params.log_s_v)
@@ -113,7 +114,7 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
         np.zeros_like(params.mu_v), np.zeros_like(params.log_s_v),
     )
     loglik = 0.0
-    by_user, by_item = data.incidence
+    by_user, by_item = patterns
     ii, jj, rr = data.user_idx, data.item_idx, data.rating
     for eps_u, eps_v in noise:
         u = params.mu_u + s_u * eps_u
@@ -180,20 +181,21 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     rng = np.random.default_rng(cfg.seed + 1)
     # the monitoring noise depends only on the shapes, so one draw serves every epoch
     monitor = draw_noise(params, 1, np.random.default_rng(cfg.seed + 2))
-    buffers = dot_buffers(data.n_ratings, hp.k)
+    buffers, patterns = dot_buffers(data.n_ratings, hp.k), rating_patterns(data)
     trace = []
     size = cfg.mc_samples * (params.mu_u.size + params.mu_v.size)
     # overflow here is reported as a divergence error, not a warning
     with (prefetched(lambda: draw_noise(params, cfg.mc_samples, rng), cfg.epochs, size) as draws,
-          np.errstate(over="ignore", invalid="ignore"), lending_patterns(data)):
+          np.errstate(over="ignore", invalid="ignore")):
         for epoch, noise in enumerate(draws):
-            value, grad = elbo_with_noise(params, data, hp, noise, buffers)
+            value, grad = elbo_with_noise(params, data, hp, noise, buffers, patterns)
             if not np.isfinite(value):
                 raise DivergenceError("ELBO became non-finite (reduce learning_rate)", epoch)
             params.mu_u += cfg.learning_rate * grad.mu_u
             params.log_s_u += cfg.learning_rate * grad.log_s_u
             params.mu_v += cfg.learning_rate * grad.mu_v
             params.log_s_v += cfg.learning_rate * grad.log_s_v
+            del grad  # freed before the next epoch allocates, so glibc keeps the heap top
             trace.append(elbo_value_with_noise(params, data, hp, monitor, buffers))
     return params, trace
 

@@ -33,6 +33,7 @@ from bpmf.model import (
     RatingScale,
     denormalize_rating,
     dot_buffers,
+    rating_patterns,
     sigmoid,
 )
 from bpmf.vi import (
@@ -255,16 +256,16 @@ def test_criterion_4_gradient_checks():
             rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)),
         )
         noise = draw_noise(params, 2, np.random.default_rng(2000 + seed))
-        buffers = dot_buffers(data.n_ratings, hp.k)
-        _, grad = elbo_with_noise(params, data, hp, noise, buffers)
+        buffers, patterns = dot_buffers(data.n_ratings, hp.k), rating_patterns(data)
+        _, grad = elbo_with_noise(params, data, hp, noise, buffers, patterns)
         for name in ("mu_u", "log_s_u", "mu_v", "log_s_v"):
             block = getattr(params, name)
             for idx in np.ndindex(block.shape):
                 up, down = copy.deepcopy(params), copy.deepcopy(params)
                 getattr(up, name)[idx] += step
                 getattr(down, name)[idx] -= step
-                fd = (elbo_with_noise(up, data, hp, noise, buffers)[0]
-                      - elbo_with_noise(down, data, hp, noise, buffers)[0]) / (2 * step)
+                fd = (elbo_with_noise(up, data, hp, noise, buffers, patterns)[0]
+                      - elbo_with_noise(down, data, hp, noise, buffers, patterns)[0]) / (2 * step)
                 denom = max(abs(fd), 1e-3)
                 worst_vi = max(worst_vi, abs(getattr(grad, name)[idx] - fd) / denom)
 
@@ -274,7 +275,7 @@ def test_criterion_4_gradient_checks():
         cfg = MfConfig(alpha=0.003)
         rng = np.random.default_rng(3000 + seed)
         state = LatentState(rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)))
-        new = mf_epoch(state, data, cfg, mf_residual(state, data))
+        new = mf_epoch(state, data, cfg, mf_residual(state, data), rating_patterns(data))
         for i in range(3):
             for c in range(2):
                 up, down = copy.deepcopy(state), copy.deepcopy(state)

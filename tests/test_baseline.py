@@ -9,7 +9,7 @@ import bpmf.baseline
 from bpmf.baseline import MfConfig, init_state, mf_epoch, mf_loss, mf_residual, mf_train
 from bpmf.errors import DivergenceError
 from bpmf.model import (BLOCK_ELEMENTS, LatentState, ModelHyperparams, RatingDataset, RatingScale,
-                        scatter_rows)
+                        rating_patterns, scatter_rows)
 
 from conftest import make_dataset
 
@@ -44,14 +44,16 @@ class TestMfEpoch:
     def test_empty_observations_no_change(self):
         data = _dataset(2, 2, [], [], [])
         state = LatentState(np.ones((2, 2)), np.ones((2, 2)))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_residual(state, data))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_residual(state, data),
+                       rating_patterns(data))
         np.testing.assert_array_equal(new.u, state.u)
         np.testing.assert_array_equal(new.v, state.v)
 
     def test_fixed_point_at_exact_fit(self):
         data = _dataset(1, 1, [0], [0], [1.0])
         state = LatentState(np.array([[1.0]]), np.array([[1.0]]))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_residual(state, data))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_residual(state, data),
+                       rating_patterns(data))
         assert new.u[0, 0] == 1.0
         assert new.v[0, 0] == 1.0
 
@@ -59,7 +61,8 @@ class TestMfEpoch:
         # v=0 kills the u-gradient; v then moves using the unchanged u
         data = _dataset(1, 1, [0], [0], [0.5])
         state = LatentState(np.array([[1.0]]), np.array([[0.0]]))
-        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_residual(state, data))
+        new = mf_epoch(state, data, MfConfig(alpha=0.1), mf_residual(state, data),
+                       rating_patterns(data))
         assert new.u[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert new.v[0, 0] == pytest.approx(0.05, abs=1e-15)
 
@@ -70,7 +73,7 @@ class TestMfEpoch:
         data = make_dataset(3, 3, 6, seed=1, k_true=2)
         cfg = MfConfig(alpha=0.003)
         state = LatentState(rng.normal(0, 0.5, (3, 2)), rng.normal(0, 0.5, (3, 2)))
-        new = mf_epoch(state, data, cfg, mf_residual(state, data))
+        new = mf_epoch(state, data, cfg, mf_residual(state, data), rating_patterns(data))
         step = 1e-5
         for i in range(3):
             for c in range(2):
@@ -95,8 +98,9 @@ class TestMfEpoch:
         )
         state = init_state(4, 5, 2, MfConfig(seed=5))
         cfg = MfConfig(alpha=0.01)
-        a = mf_epoch(state, data, cfg, mf_residual(state, data))
-        b = mf_epoch(state, shuffled, cfg, mf_residual(state, shuffled))
+        a = mf_epoch(state, data, cfg, mf_residual(state, data), rating_patterns(data))
+        b = mf_epoch(state, shuffled, cfg, mf_residual(state, shuffled),
+                     rating_patterns(shuffled))
         np.testing.assert_allclose(a.u, b.u, atol=1e-9)
         np.testing.assert_allclose(a.v, b.v, atol=1e-9)
 
@@ -155,7 +159,7 @@ def _regathering_mf_train(data, hp, cfg):
     both residuals of an epoch and its loss each take fresh row dots of
     both sides, here by fancy indexing rather than the kernel under test."""
     state = init_state(data.n_users, data.n_items, hp.k, cfg)
-    by_user, by_item = data.incidence
+    by_user, by_item = rating_patterns(data)
     ii, jj, rr = data.user_idx, data.item_idx, data.rating
 
     def dots(u, v):

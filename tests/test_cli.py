@@ -204,6 +204,10 @@ def two_reports(small_csv, tmp_path_factory):
     return base / "mf" / "report.json", base / "vi" / "report.json"
 
 
+def _with_engine(engine):
+    return lambda good: json.dumps({**good, "config": {**good["config"], "engine": engine}})
+
+
 class TestCompare:
     def test_compare_success(self, two_reports, capsys, tmp_path):
         csv_out = tmp_path / "cmp.csv"
@@ -238,7 +242,9 @@ class TestCompare:
         lambda good: "[1, 2]",
         lambda good: json.dumps({k: v for k, v in good.items() if k != "rmse_test"}),
         lambda good: json.dumps({**good, "rmse_test": "low"}),
-    ], ids=["malformed-json", "not-an-object", "missing-field", "wrong-type"])
+        *(_with_engine(engine) for engine in (["vi"], {"name": "vi"}, None, "vi,mf")),
+    ], ids=["malformed-json", "not-an-object", "missing-field", "wrong-type", "engine-list",
+            "engine-object", "engine-null", "engine-with-comma"])
     def test_malformed_report_is_usage_error(self, make_bad, two_reports, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(make_bad(json.loads(two_reports[0].read_text())))
@@ -257,6 +263,14 @@ class TestCompare:
         assert run_cli("compare", str(two_reports[0]), str(bad)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"bpmf: {bad}: not a bpmf report: ") and err.count("\n") == 1
+
+    def test_report_without_an_engine_loads(self, two_reports, tmp_path, capsys):
+        good = json.loads(two_reports[0].read_text())
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({**good, "config": {k: v for k, v in good["config"].items()
+                                                       if k != "engine"}}))
+        assert run_cli("compare", str(two_reports[1]), str(bare)) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("?")
 
     def test_no_arguments_is_usage_error(self):
         assert run_cli("compare") == 1

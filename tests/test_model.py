@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -24,6 +26,7 @@ from bpmf.model import (
     denormalize_rating,
     dot_buffers,
     log_joint,
+    rating_patterns,
     row_dots,
     scatter_rows,
     sigmoid,
@@ -278,7 +281,7 @@ class TestIncidence:
         ones = sparse.csr_matrix((np.ones(n), (own_idx, np.arange(n))), shape=(n_own, n))
         return ones @ (weights[:, None] * rows)
 
-    def test_cached_pair_sums_rows_by_user_and_item(self):
+    def test_pair_sums_rows_by_user_and_item(self):
         rng = np.random.default_rng(0)
         u, v = rng.normal(size=(5, 3)), rng.normal(size=(6, 3))
         # 17 of the 4 x 5 pairs in shuffled order: user 4 and item 5 have no ratings
@@ -286,9 +289,7 @@ class TestIncidence:
         for user_idx, item_idx in ((ii, jj), (ii[:0], jj[:0])):
             data = RatingDataset(5, 6, user_idx, item_idx, rng.uniform(size=user_idx.size),
                                  RatingScale(5))
-            pair = data.incidence
-            assert data.incidence is pair
-            by_user, by_item = pair
+            by_user, by_item = rating_patterns(data)
             weights = rng.normal(size=data.n_ratings)
             for side, x, own_idx, other_idx, n_own in ((by_user, v, user_idx, item_idx, 5),
                                                        (by_item, u, item_idx, user_idx, 6)):
@@ -299,7 +300,7 @@ class TestIncidence:
 
     @staticmethod
     def sides(data):
-        by_user, by_item = data.incidence
+        by_user, by_item = rating_patterns(data)
         return ((by_user, data.user_idx, data.item_idx, data.n_users, data.n_items),
                 (by_item, data.item_idx, data.user_idx, data.n_items, data.n_users))
 
@@ -333,13 +334,13 @@ class TestIncidence:
                 scatter_rows(side, np.ones(length), np.ones((n_other, 2)))
 
     def test_both_sides_share_one_pair_of_index_arrays(self):
-        by_user, by_item = make_dataset(20, 30, 400, seed=5).incidence
+        by_user, by_item = rating_patterns(make_dataset(20, 30, 400, seed=5))
         assert by_item.row is by_user.col and by_item.col is by_user.row
 
     def test_a_scatter_copies_no_weights(self):
         # a per-call gather of the weights would take n_ratings * 8 bytes
         data = make_dataset(400, 500, 100_000, seed=6)
-        by_user, _ = data.incidence
+        by_user, _ = rating_patterns(data)
         weights, x = np.ones(data.n_ratings), np.ones((data.n_items, 1))
         tracemalloc.start()
         try:
@@ -349,18 +350,10 @@ class TestIncidence:
             tracemalloc.stop()
         assert peak < data.n_ratings * 8
 
-    def test_training_gives_both_patterns_their_ratings_back(self):
-        data = make_dataset(30, 40, 600, seed=7)
-        by_user, by_item = data.incidence
-        assert by_user.data is data.rating and by_item.data is data.rating
-        for train, cfg in ((vi_train, ViConfig(epochs=2)), (mf_train, MfConfig(epochs=2))):
-            train(data, ModelHyperparams(3, 0.25), cfg)
-            assert by_user.data is data.rating and by_item.data is data.rating
-
     @pytest.mark.parametrize("module,train,cfg,diverges", [
         (vi, vi_train, ViConfig(epochs=2), False),
         (baseline, mf_train, MfConfig(epochs=2), False),
-        # the patterns are given back when training raises, too
+        # the weights die with the loop when training raises, too
         (baseline, mf_train, MfConfig(alpha=1e6, epochs=50), True),
     ], ids=["vi", "mf", "mf-divergence"])
     def test_no_scattered_weights_outlive_training(self, module, train, cfg, diverges,
@@ -376,7 +369,54 @@ class TestIncidence:
         with pytest.raises(DivergenceError) if diverges else contextlib.nullcontext():
             train(data, ModelHyperparams(3, 0.25), cfg)
         assert lent and all(ref() is None for ref in lent)
-        assert all(side.data is data.rating for side in data.incidence)
+
+    @pytest.mark.parametrize("module,train,cfg", [
+        (vi, vi_train, ViConfig(epochs=5)),
+        (baseline, mf_train, MfConfig(epochs=5)),
+    ], ids=["vi", "mf"])
+    def test_one_pair_of_patterns_per_training(self, module, train, cfg, monkeypatch):
+        built = []
+
+        def counted(data):
+            built.append(data)
+            return rating_patterns(data)
+
+        monkeypatch.setattr(module, "rating_patterns", counted)
+        data = make_dataset(30, 40, 600, seed=9)
+        train(data, ModelHyperparams(3, 0.25), cfg)
+        assert len(built) == 1 and built[0] is data
+
+    def test_two_trainings_on_one_dataset_in_two_threads(self):
+        # each loop scatters through its own patterns, so neither sees the other's weights
+        data, hp = make_dataset(40, 50, 800, seed=1), ModelHyperparams(3, 0.25)
+        runs = ((vi_train, ViConfig(epochs=150)), (mf_train, MfConfig(epochs=600)))
+        serial = [train(data, hp, cfg) for train, cfg in runs]
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def run(slot, train, cfg):
+            start.wait()
+            results[slot] = train(data, hp, cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(slot, *pair))
+                       for slot, pair in enumerate(runs)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        (params, elbo), (state, loss) = results
+        (ref_params, ref_elbo), (ref_state, ref_loss) = serial
+        for got, want in ((params.mu_u, ref_params.mu_u), (params.log_s_u, ref_params.log_s_u),
+                          (params.mu_v, ref_params.mu_v), (params.log_s_v, ref_params.log_s_v),
+                          (np.array(elbo), np.array(ref_elbo)), (state.u, ref_state.u),
+                          (state.v, ref_state.v), (np.array(loss), np.array(ref_loss))):
+            assert np.array_equal(got, want)
 
 
 class TestPredictPoint:

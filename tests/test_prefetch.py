@@ -14,7 +14,7 @@ from bpmf import model
 from bpmf.errors import DivergenceError
 from bpmf.mcmc import McmcConfig, RowwiseCache, mh_step, rowwise_sweep, run_chain
 from bpmf.model import (PREFETCH_MIN_SIZE, LatentState, ModelHyperparams, PosteriorMean,
-                        dot_buffers, log_joint, prefetched)
+                        dot_buffers, log_joint, prefetched, rating_patterns)
 from bpmf.vi import (PREDICT_SAMPLES, ViConfig, draw_noise, elbo_value_with_noise, elbo_with_noise,
                      init_params, vi_predict_batch, vi_train)
 
@@ -202,11 +202,11 @@ def serial_vi_train(data, hp, cfg):
     params = init_params(data.n_users, data.n_items, hp.k, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     monitor = draw_noise(params, 1, np.random.default_rng(cfg.seed + 2))
-    buffers = dot_buffers(data.n_ratings, hp.k)
+    buffers, patterns = dot_buffers(data.n_ratings, hp.k), rating_patterns(data)
     trace = []
     for _ in range(cfg.epochs):
         _, grad = elbo_with_noise(params, data, hp, draw_noise(params, cfg.mc_samples, rng),
-                                  buffers)
+                                  buffers, patterns)
         params.mu_u += cfg.learning_rate * grad.mu_u
         params.log_s_u += cfg.learning_rate * grad.log_s_u
         params.mu_v += cfg.learning_rate * grad.mu_v

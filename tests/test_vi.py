@@ -3,13 +3,15 @@ bound property, optimization behavior, and prediction."""
 
 import copy
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from bpmf import vi
 from bpmf.errors import DivergenceError
 from bpmf.model import (LatentState, ModelHyperparams, PosteriorMean, RatingDataset, RatingScale,
-                        dot_buffers)
+                        dot_buffers, rating_patterns)
 from bpmf.vi import (
     PREDICT_SAMPLES,
     VariationalParams,
@@ -88,14 +90,15 @@ class TestElboEstimate:
         rng = np.random.default_rng(5)
         params = random_params(3, 4, 3, rng)
         noise = draw_noise(params, 2, np.random.default_rng(7))
-        base, _ = elbo_with_noise(params, data, hp, noise, dot_buffers(6, 3))
+        base, _ = elbo_with_noise(params, data, hp, noise, dot_buffers(6, 3), rating_patterns(data))
         perm = [2, 0, 1]
         permuted = VariationalParams(
             params.mu_u[:, perm], params.log_s_u[:, perm],
             params.mu_v[:, perm], params.log_s_v[:, perm],
         )
         permuted_noise = [(eu[:, perm], ev[:, perm]) for eu, ev in noise]
-        val, _ = elbo_with_noise(permuted, data, hp, permuted_noise, dot_buffers(6, 3))
+        val, _ = elbo_with_noise(permuted, data, hp, permuted_noise, dot_buffers(6, 3),
+                                 rating_patterns(data))
         assert val == pytest.approx(base, abs=1e-9)
 
 
@@ -107,7 +110,8 @@ class TestElboGradient:
         params.mu_u[0, 0] = 0.3
         hp = ModelHyperparams(2, 0.25)
         noise = draw_noise(params, 1, np.random.default_rng(0))
-        _, grad = elbo_with_noise(params, empty_dataset, hp, noise, dot_buffers(0, 2))
+        _, grad = elbo_with_noise(params, empty_dataset, hp, noise, dot_buffers(0, 2),
+                                  rating_patterns(empty_dataset))
         assert grad.mu_u[0, 0] == pytest.approx(-0.3, abs=1e-12)
         assert grad.log_s_u[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -117,7 +121,8 @@ class TestElboGradient:
         )
         hp = ModelHyperparams(2, 0.25)
         noise = draw_noise(params, 1, np.random.default_rng(0))
-        _, grad = elbo_with_noise(params, empty_dataset, hp, noise, dot_buffers(0, 2))
+        _, grad = elbo_with_noise(params, empty_dataset, hp, noise, dot_buffers(0, 2),
+                                  rating_patterns(empty_dataset))
         for block in (grad.mu_u, grad.log_s_u, grad.mu_v, grad.log_s_v):
             np.testing.assert_allclose(block, 0.0, atol=1e-12)
 
@@ -128,8 +133,8 @@ class TestElboGradient:
         rng = np.random.default_rng(100 + seed)
         params = random_params(2, 2, 2, rng)
         noise = draw_noise(params, 2, np.random.default_rng(200 + seed))
-        buffers = dot_buffers(3, 2)
-        _, grad = elbo_with_noise(params, data, hp, noise, buffers)
+        buffers, patterns = dot_buffers(3, 2), rating_patterns(data)
+        _, grad = elbo_with_noise(params, data, hp, noise, buffers, patterns)
 
         step = 1e-5
         for name in ("mu_u", "log_s_u", "mu_v", "log_s_v"):
@@ -140,13 +145,28 @@ class TestElboGradient:
                 down = copy.deepcopy(params)
                 getattr(up, name)[idx] += step
                 getattr(down, name)[idx] -= step
-                f_up, _ = elbo_with_noise(up, data, hp, noise, buffers)
-                f_down, _ = elbo_with_noise(down, data, hp, noise, buffers)
+                f_up, _ = elbo_with_noise(up, data, hp, noise, buffers, patterns)
+                f_down, _ = elbo_with_noise(down, data, hp, noise, buffers, patterns)
                 fd = (f_up - f_down) / (2 * step)
                 assert grad_block[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
 class TestViTrain:
+    def test_each_gradient_is_freed_before_the_next_epoch(self, monkeypatch):
+        # an epoch's heap churn then stays under glibc's trim threshold (README)
+        returned = []
+        inner = vi.elbo_with_noise
+
+        def recording(*args):
+            assert all(ref() is None for ref in returned)
+            value, grad = inner(*args)
+            returned.append(weakref.ref(grad.mu_v))
+            return value, grad
+
+        monkeypatch.setattr(vi, "elbo_with_noise", recording)
+        vi_train(make_dataset(5, 6, 18, seed=1), ModelHyperparams(2, 0.25), ViConfig(epochs=4))
+        assert len(returned) == 4
+
     def test_zero_epochs(self):
         data = make_dataset(3, 3, 5)
         cfg = ViConfig(epochs=0)
