@@ -244,8 +244,8 @@ def _first_appearance(ids):
 def build_dataset(ratings, scale: RatingScale):
     """Remap IDs densely and normalize ratings; returns (RatingDataset, IdMaps).
 
-    ``ratings`` is the (user_ids, movie_ids, ratings) column triple that
-    ``load_ratings`` returns, with its scale.
+    ``ratings`` and ``scale`` are what ``load_ratings`` returns, so no
+    (user, movie) pair repeats: the parser rejects a file that repeats one.
     """
     user_ids, movie_ids, values = ratings
     values = np.asarray(values, dtype=np.float64)
@@ -269,7 +269,7 @@ def split_dataset(data: RatingDataset, seed: int = 0, maps: IdMaps | None = None
     ``SPLIT_FRACTIONS``; all parts keep the full (n_users, n_items)
     dimensions and the original scale. Each column is gathered by the
     permutation once, and every part, ``held_out`` included, is a slice
-    of that one copy, checked as a ``RatingDataset``.
+    of that one copy, range-checked as a ``RatingDataset``.
     """
     f_train, f_val, _ = SPLIT_FRACTIONS
     length = data.n_ratings

@@ -190,6 +190,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rows = max(split.train.n_users, split.train.n_items, split.train.n_ratings)
     if rows * hp.k * 8 > np.iinfo(np.intp).max:  # numpy raises ValueError, not MemoryError
         raise MemoryError(f"({rows}, {hp.k}) float64 arrays exceed the address space")
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     streamed = 0.0
     if cfg.engine == "mcmc":
@@ -218,8 +220,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     lap("predict")
     timings["predict"] += streamed
 
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "trace.csv", "w", newline="") as fh:
         fh.write("epoch,value\n")
         for epoch, value in enumerate(loss_trace):

@@ -61,6 +61,8 @@ class McmcConfig:
     proposal: str = "rowwise"
 
     def __post_init__(self):
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
         if self.burn_in is None:
             object.__setattr__(self, "burn_in", int(0.6 * self.n_steps))
         if self.thin is None:

@@ -53,7 +53,8 @@ class RatingDataset:
     """Sparse observed ratings with dense 0-based indices.
 
     ``rating`` holds values already normalized to [0, 1]; the original
-    scale travels along so predictions can be mapped back.
+    scale travels along so predictions can be mapped back. A (user, item)
+    pair may repeat: every engine counts each appearance as one observation.
     """
 
     n_users: int
@@ -76,10 +77,6 @@ class RatingDataset:
                 raise ValueError("item index out of range")
             if self.rating.min() < 0.0 or self.rating.max() > 1.0:
                 raise ValueError("normalized ratings must lie in [0, 1]")
-            # np.sort, not np.unique: on numpy 2.4 np.unique is ~80x slower
-            keys = np.sort(self.user_idx * self.n_items + self.item_idx)
-            if np.any(keys[1:] == keys[:-1]):
-                raise ValueError("duplicate (user, item) pair in dataset")
 
     @property
     def n_ratings(self) -> int:

@@ -316,6 +316,7 @@ def test_criterion_5_kl_closed_form():
     assert worst < 1e-12
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_accuracy_band(vi_report, mcmc_report,
                                               constant_predictor_rmse):
     const = constant_predictor_rmse
@@ -342,6 +343,7 @@ def test_criterion_6_desk_scale_accuracy_band(vi_report, mcmc_report,
     assert mcmc_ok
 
 
+@pytest.mark.slow
 def test_criterion_7_convergence_shape(vi_report, mcmc_report):
     vi_epochs = len(vi_report.loss_trace)
     vi_plateau = plateau_epoch(vi_report.loss_trace, maximize=True)
@@ -359,6 +361,7 @@ def test_criterion_7_convergence_shape(vi_report, mcmc_report):
     assert vi_frac <= mcmc_frac
 
 
+@pytest.mark.slow
 def test_criterion_8_relative_efficiency(vi_report, mcmc_report):
     ratio = vi_report.wall_clock_seconds / mcmc_report.wall_clock_seconds
     ok = ratio < 0.1

@@ -41,6 +41,7 @@ def assert_usage_error_before_loading(tmp_path, capsys, engine, *flags):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("bpmf: invalid configuration") and err.count("\n") == 1
+    return err
 
 
 class TestRun:
@@ -161,6 +162,23 @@ class TestRun:
     def test_chain_length_past_float_range_is_usage_error(self, tmp_path, capsys):
         # the default burn-in is 60% of the steps, computed in floating point
         assert_usage_error_before_loading(tmp_path, capsys, "mcmc", "--n-steps", str(10**400))
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_chain_without_steps_is_usage_error(self, value, tmp_path, capsys):
+        # the message names the flag the user set, not the burn-in derived from it
+        err = assert_usage_error_before_loading(tmp_path, capsys, "mcmc", "--n-steps", value)
+        assert "n_steps" in err and "burn_in" not in err
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_fails_before_training(self, out, small_csv, tmp_path, capsys,
+                                                monkeypatch):
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr("bpmf.evaluate.mf_train", lambda *args: pytest.fail("trained"))
+        code = run_cli("run", "--engine", "mf", "--data", str(small_csv),
+                       "--out", str(tmp_path / out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bpmf: ") and err.count("\n") == 1
 
     def test_divergent_training_is_runtime_error(self, small_csv, tmp_path):
         code = run_cli(

@@ -76,10 +76,11 @@ class TestLoadRatings:
             load_text(HEADER + "1,1,0,0\n")
 
     def test_duplicate_pair(self):
-        text = HEADER + "1,1,4,0\n1,1,3,1\n"
-        with pytest.raises(DataFormatError) as err:
-            load_text(text)
-        assert err.value.line == 3
+        # the quoted field sends the second file to the row loop
+        for rows in ("1,1,4,0\n1,1,3,1\n", '1,1,4,0\n1,"1",3,1\n'):
+            with pytest.raises(DataFormatError) as err:
+                load_text(HEADER + rows)
+            assert err.value.line == 3
 
     def test_half_star_scale_detection(self):
         (_, _, ratings), scale = load_text(HEADER + "1,1,3.5,0\n1,2,5,0\n")
@@ -554,3 +555,25 @@ class TestSplitDataset:
         data = make_dataset(2, 2, 2, seed=0)
         with pytest.raises(BpmfError):
             split_dataset(data)
+
+
+def test_only_the_parser_sorts_for_repeated_pairs(tmp_path, monkeypatch):
+    # 90 ratings of 10 users and 12 movies with dense IDs: the remap sorts
+    # only its 10 and 12 distinct IDs, so a sort of 90 keys is the repeat check
+    rng = np.random.default_rng(4)
+    pairs = [(u, m) for u in range(1, 11) for m in range(1, 13) if (u + m) % 4]
+    path = tmp_path / "ratings.csv"
+    path.write_text(HEADER + "".join(f"{u},{m},{rng.integers(1, 6)},0\n"
+                                     for u, m in rng.permutation(pairs)))
+    sizes = []
+    sort = np.sort
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    split = split_dataset(build_dataset(*load_ratings(path))[0])
+    assert sizes.count(90) == 1
+    parts = (split.train, split.validation, split.test, split.held_out)
+    assert not {part.n_ratings for part in parts} & set(sizes)

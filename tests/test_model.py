@@ -59,10 +59,6 @@ class TestRatingDataset:
         with pytest.raises(ValueError):
             RatingDataset(1, 1, [1], [0], [0.5], RatingScale(5))
 
-    def test_rejects_duplicate_pair(self):
-        with pytest.raises(ValueError):
-            RatingDataset(2, 2, [0, 0], [1, 1], [0.5, 0.75], RatingScale(5))
-
     def test_rejects_unnormalized_rating(self):
         with pytest.raises(ValueError):
             RatingDataset(1, 1, [0], [0], [1.5], RatingScale(5))
@@ -192,15 +188,17 @@ class TestLogJoint:
         flat = rng.choice(n * m, size=n_obs, replace=False)
         triples = [(int(f // m), int(f % m), float(r))
                    for f, r in zip(flat, rng.uniform(0, 1, n_obs))]
-        data = RatingDataset(n, m, *zip(*triples), RatingScale(5))
         empty = RatingDataset(n, m, [], [], [], RatingScale(5))
         state = LatentState(rng.normal(size=(n, k)), rng.normal(size=(m, k)))
         hp = ModelHyperparams(k, 0.25)
-        expected = log_joint(state, empty, hp) + sum(
-            log_likelihood_entry(state.u[i], state.v[j], r, hp.sigma2)
-            for i, j, r in triples
-        )
-        assert log_joint(state, data, hp) == pytest.approx(expected, abs=1e-9)
+        # the second case rates the first pair again: one more entry term
+        for case in (triples, triples + [(*triples[0][:2], 0.9)]):
+            data = RatingDataset(n, m, *zip(*case), RatingScale(5))
+            expected = log_joint(state, empty, hp) + sum(
+                log_likelihood_entry(state.u[i], state.v[j], r, hp.sigma2)
+                for i, j, r in case
+            )
+            assert log_joint(state, data, hp) == pytest.approx(expected, abs=1e-9)
 
     def test_prior_peaks_at_origin(self):
         data = RatingDataset(2, 2, [], [], [], RatingScale(5))
@@ -286,7 +284,9 @@ class TestIncidence:
         u, v = rng.normal(size=(5, 3)), rng.normal(size=(6, 3))
         # 17 of the 4 x 5 pairs in shuffled order: user 4 and item 5 have no ratings
         ii, jj = np.divmod(rng.permutation(20)[:17], 5)
-        for user_idx, item_idx in ((ii, jj), (ii[:0], jj[:0])):
+        # the last case rates one pair twice: two terms in its rows' sums
+        cases = ((ii, jj), (ii[:0], jj[:0]), (np.r_[ii, ii[3]], np.r_[jj, jj[3]]))
+        for user_idx, item_idx in cases:
             data = RatingDataset(5, 6, user_idx, item_idx, rng.uniform(size=user_idx.size),
                                  RatingScale(5))
             by_user, by_item = rating_patterns(data)
