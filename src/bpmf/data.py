@@ -71,9 +71,10 @@ def load_ratings(source):
     r_min = 0.5 when any half-star rating is present, else 1.
 
     Files of plain digits, commas, dots and newlines are parsed as whole
-    columns, a regular file by numpy from its path; other files, and files
-    that break a rule, go through the row loop, which raises
-    ``DataFormatError`` with the line number of the first offending row.
+    columns, a regular file by numpy from its path, and the three columns
+    are views of numpy's one table; other files, and files that break a
+    rule, go through the row loop, which raises ``DataFormatError`` with
+    the line number of the first offending row.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -109,10 +110,9 @@ def _parse_columns(data: bytes, path=None, opened=None):
     still equals ``opened`` after. Streams, pipes and names numpy would decompress
     are parsed from ``data``."""
     header = next((h for h in _FAST_HEADERS if data.startswith(h)), None)
-    if header is None:
-        return None
-    body = data[len(header):]
-    if body.translate(None, _FAST_BYTES) or not _lines_within_csv_limit(body):
+    # the body is checked in place: only the header's own letters may survive the translation
+    if (header is None or data.translate(None, _FAST_BYTES) != header.translate(None, _FAST_BYTES)
+            or not _lines_within_csv_limit(data, len(header))):
         return None
     if path is not None and (not stat.S_ISREG(opened.st_mode) or path.endswith(_COMPRESSED)):
         path = None
@@ -131,7 +131,7 @@ def _parse_columns(data: bytes, path=None, opened=None):
         return None if path is None else _parse_columns(data)
     except (ValueError, Warning):
         return None
-    users, movies, ratings = (np.ascontiguousarray(table[name]) for name in _COLUMNS.names)
+    users, movies, ratings = (table[name] for name in _COLUMNS.names)
     if (not np.all((ratings > 0.0) & (ratings <= 10.0))
             or np.any(2.0 * ratings != np.floor(2.0 * ratings))
             or _may_repeat_a_pair(users, movies)):
@@ -139,15 +139,16 @@ def _parse_columns(data: bytes, path=None, opened=None):
     return users, movies, ratings
 
 
-def _lines_within_csv_limit(body: bytes) -> bool:
-    """Whether no line reaches the csv module's field size limit.
+def _lines_within_csv_limit(data: bytes, offset: int) -> bool:
+    """Whether no line of ``data`` from ``offset`` on reaches the csv
+    module's field size limit.
 
     A line of 2*step bytes or more covers a whole step-aligned block, so
     a newline in every such block bounds each line below 2*step.
     """
     step = max(1, csv.field_size_limit() // 2)
-    return all(body.find(b"\n", start, start + step) >= 0
-               for start in range(0, len(body) - step + 1, step))
+    return all(data.find(b"\n", start, start + step) >= 0
+               for start in range(offset, len(data) - step + 1, step))
 
 
 def _may_repeat_a_pair(users, movies) -> bool:

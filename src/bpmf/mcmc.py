@@ -1,7 +1,9 @@
 """Metropolis-Hastings sampler for the factor posterior.
 
 Two kernels, both with symmetric Gaussian random-walk proposals, so the
-proposal densities cancel in every acceptance ratio:
+proposal densities cancel and a proposal that changes the log joint by
+``delta`` is accepted when ``uniform < exp(min(0, delta))``. Both move the
+chain's one state in place and return (fraction accepted, log joint):
 
 - ``"rowwise"`` (row-blocked Metropolis-within-Gibbs; the chain that
   ``McmcConfig()`` and ``bpmf run`` train): given V the user rows are
@@ -27,6 +29,7 @@ mean the VI engine predicts through.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,47 +86,36 @@ class McmcConfig:
 class ChainTrace:
     """Per-step bookkeeping of a chain.
 
-    ``accepted`` holds one entry per step: a bool for the joint kernel,
-    the fraction of row proposals accepted in that sweep for the
-    row-blocked one. ``accept_count`` is their sum (an int or a float),
-    so ``acceptance_rate`` is a rate in [0, 1] for both.
+    ``accepted`` holds one float per step, the fraction of proposals the
+    step accepted: 1.0 or 0.0 for the joint kernel, the fraction of row
+    proposals for the row-blocked one.
     """
 
     energies: np.ndarray
     accepted: np.ndarray
 
     @property
-    def accept_count(self):
-        return np.sum(self.accepted).item()
-
-    @property
-    def step_count(self) -> int:
-        return int(self.accepted.size)
-
-    @property
     def acceptance_rate(self) -> float:
-        return self.accept_count / self.step_count if self.step_count else 0.0
-
-
-def acceptance_ratio(log_g_current: float, log_g_proposed: float) -> float:
-    """min(1, g(z')/g(z)) for a symmetric proposal, from log densities."""
-    return float(min(1.0, np.exp(min(0.0, log_g_proposed - log_g_current))))
+        return float(self.accepted.mean())
 
 
 def mh_step(state: LatentState, data: RatingDataset, hp: ModelHyperparams,
-            draws, log_g_current: float):
-    """One Metropolis-Hastings step from a state whose log joint is ``log_g_current``.
+            draws, log_g: float):
+    """One joint Metropolis-Hastings step from a state whose log joint is ``log_g``.
 
-    ``draws`` is the step's (U noise, V noise, acceptance uniform), drawn
-    in that order by :func:`run_chain` from its seeded generator. Returns
-    (retained state, accepted flag, log_joint of the retained state).
+    Moves ``state`` to the proposal in place when it accepts. ``draws``
+    is the step's (U noise, V noise, acceptance uniform), drawn in that
+    order by :func:`run_chain` from its seeded generator. Returns
+    (fraction accepted, log_joint of the new state), as :func:`rowwise_sweep` does.
     """
     noise_u, noise_v, uniform = draws
     proposed = LatentState(state.u + noise_u, state.v + noise_v)
     log_g_proposed = log_joint(proposed, data, hp)
-    if uniform < acceptance_ratio(log_g_current, log_g_proposed):
-        return proposed, True, log_g_proposed
-    return state, False, log_g_current
+    if uniform < np.exp(min(0.0, log_g_proposed - log_g)):
+        np.copyto(state.u, proposed.u)
+        np.copyto(state.v, proposed.v)
+        return 1.0, log_g_proposed
+    return 0.0, log_g
 
 
 def row_log_ratios(rows, proposed, own_idx, sq_resid, sq_proposed, sigma2):
@@ -178,20 +170,21 @@ def _update_rows(rows, other, own_idx, other_idx, data, cache, sigma2, noise, un
 
 
 def rowwise_sweep(state: LatentState, data: RatingDataset, hp: ModelHyperparams,
-                  draws, cache: RowwiseCache, log_g_current: float):
+                  draws, log_g: float, cache: RowwiseCache):
     """One row-blocked sweep: all user rows given V, then all item rows given U.
 
     Updates ``state`` and ``cache`` in place. ``draws`` is the sweep's
     (user noise, user uniforms, item noise, item uniforms), drawn in that
     order by :func:`run_chain` from its seeded generator. Returns
-    (fraction of row proposals accepted, log_joint of the new state).
+    (fraction of row proposals accepted, log_joint of the new state), as
+    :func:`mh_step` does.
     """
     noise_u, uniforms_u, noise_v, uniforms_v = draws
     n_u, d_u = _update_rows(state.u, state.v, data.user_idx, data.item_idx, data,
                             cache, hp.sigma2, noise_u, uniforms_u)
     n_v, d_v = _update_rows(state.v, state.u, data.item_idx, data.user_idx, data,
                             cache, hp.sigma2, noise_v, uniforms_v)
-    return (n_u + n_v) / (data.n_users + data.n_items), log_g_current + d_u + d_v
+    return (n_u + n_v) / (data.n_users + data.n_items), log_g + d_u + d_v
 
 
 def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
@@ -199,8 +192,8 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
     """Run the full chain; deterministic for a given seed (PCG64).
 
     Passes the states at steps burn_in, burn_in + thin, ... (0-based) to
-    ``on_sample``, in retention order. Each is the chain's own state,
-    valid only during the call, and must not be modified.
+    ``on_sample``, in retention order: the chain's own state object, the
+    same one at every step, valid only during the call and not to be modified.
     """
     rng = np.random.default_rng(cfg.seed)
     size_u, size_v, std = (data.n_users, hp.k), (data.n_items, hp.k), cfg.proposal_std
@@ -210,10 +203,11 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
     if not np.isfinite(log_g):
         raise BpmfError("non-finite log joint at initialization")
 
-    cache = RowwiseCache.for_state(state, data) if cfg.proposal == "rowwise" else None
+    rowwise = cfg.proposal == "rowwise"
+    step = partial(rowwise_sweep, cache=RowwiseCache.for_state(state, data)) if rowwise else mh_step
 
     def draw():  # one step's random numbers, in the order its kernel documents
-        if cache is None:
+        if not rowwise:
             return rng.normal(0.0, std, size_u), rng.normal(0.0, std, size_v), rng.uniform()
         return (rng.normal(0.0, std, size_u), rng.uniform(size=data.n_users),
                 rng.normal(0.0, std, size_v), rng.uniform(size=data.n_items))
@@ -222,10 +216,7 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
     with prefetched(draw, cfg.n_steps, (data.n_users + data.n_items) * (hp.k + 1)) as steps:
         for t, draws in enumerate(steps):
             try:  # a step raises ValueError only from the finite check on its proposal
-                if cache is None:
-                    state, acc, log_g = mh_step(state, data, hp, draws, log_g_current=log_g)
-                else:
-                    acc, log_g = rowwise_sweep(state, data, hp, draws, cache, log_g)
+                acc, log_g = step(state, data, hp, draws, log_g)
             except ValueError:
                 raise DivergenceError("proposal overflowed (reduce proposal_std)", t) from None
             energies.append(log_g)

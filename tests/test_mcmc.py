@@ -12,7 +12,6 @@ from bpmf.errors import BpmfError, DivergenceError
 from bpmf.mcmc import (
     McmcConfig,
     RowwiseCache,
-    acceptance_ratio,
     mh_step,
     row_log_ratios,
     rowwise_sweep,
@@ -37,18 +36,36 @@ from test_acceptance import quadrature_1x1
 
 
 class TestAcceptanceRatio:
-    def test_equal_densities(self):
-        assert acceptance_ratio(-5.0, -5.0) == 1.0
+    """The MH rule through ``mh_step``: a proposal whose log joint exceeds the
+    current one by ``delta`` is accepted when ``uniform < exp(min(0, delta))``."""
 
-    def test_uphill_always_accepted(self):
-        assert acceptance_ratio(-5.0, -2.0) == 1.0
+    @staticmethod
+    def _step(monkeypatch, tiny_dataset, delta, uniform):
+        # log_joint pinned to delta, so the step's decision sees exactly delta
+        monkeypatch.setattr(mcmc, "log_joint", lambda state, data, hp: delta)
+        state = LatentState(np.array([[0.3]]), np.array([[0.2]]))
+        draws = (np.array([[0.1]]), np.array([[-0.1]]), uniform)
+        frac, log_g = mh_step(state, tiny_dataset, ModelHyperparams(1, 0.1), draws, 0.0)
+        moved = (state.u[0, 0], state.v[0, 0]) == (0.3 + 0.1, 0.2 - 0.1)
+        assert moved == (frac == 1.0) and log_g == (delta if moved else 0.0)
+        return frac
 
-    def test_downhill_half(self):
-        assert acceptance_ratio(0.0, -np.log(2.0)) == pytest.approx(0.5, abs=1e-12)
+    def test_equal_densities(self, monkeypatch, tiny_dataset):
+        assert self._step(monkeypatch, tiny_dataset, 0.0, np.nextafter(1.0, 0.0)) == 1.0
 
-    def test_bounds(self):
+    def test_uphill_always_accepted(self, monkeypatch, tiny_dataset):
+        assert self._step(monkeypatch, tiny_dataset, 3.0, np.nextafter(1.0, 0.0)) == 1.0
+
+    def test_downhill_half(self, monkeypatch, tiny_dataset):
+        assert self._step(monkeypatch, tiny_dataset, -np.log(2.0), 0.5 - 1e-12) == 1.0
+        assert self._step(monkeypatch, tiny_dataset, -np.log(2.0), 0.5 + 1e-12) == 0.0
+
+    def test_bounds(self, monkeypatch, tiny_dataset):
+        # a zero uniform accepts every finite delta; the largest one only delta >= 0
         for delta in np.linspace(-20, 20, 41):
-            assert 0.0 <= acceptance_ratio(0.0, delta) <= 1.0
+            assert self._step(monkeypatch, tiny_dataset, delta, 0.0) == 1.0
+            top = self._step(monkeypatch, tiny_dataset, delta, np.nextafter(1.0, 0.0))
+            assert top == (1.0 if delta >= 0 else 0.0)
 
 
 class TestDiscreteKernel:
@@ -113,30 +130,23 @@ class TestMhStep:
         accepted = [
             mh_step(state, tiny_dataset, hp,
                     joint_draws(np.random.default_rng(s), cfg.proposal_std, state),
-                    log_joint(state, tiny_dataset, hp))[1]
+                    log_joint(state, tiny_dataset, hp))[0]
             for s in range(50)
         ]
-        assert all(accepted)
+        assert accepted == [1.0] * 50
 
-    def test_forced_accept_returns_proposal(self, tiny_dataset):
-        class ForcedRng:
-            def __init__(self):
-                self.inner = np.random.default_rng(0)
-
-            def normal(self, loc, scale, size=None):
-                return self.inner.normal(loc, scale, size)
-
-            def uniform(self):
-                return 0.0
-
+    def test_forced_accept_moves_state_to_proposal(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
-        cfg = joint(n_steps=10, burn_in=0, proposal_std=5.0)
         state = LatentState(np.array([[0.0]]), np.array([[0.0]]))
-        new, accepted, _ = mh_step(state, tiny_dataset, hp,
-                                   joint_draws(ForcedRng(), cfg.proposal_std, state),
-                                   log_joint(state, tiny_dataset, hp))
-        assert accepted
-        assert new.u[0, 0] != 0.0 or new.v[0, 0] != 0.0
+        u, v = state.u, state.v
+        noise_u, noise_v, _ = joint_draws(np.random.default_rng(0), 5.0, state)
+        frac, log_g = mh_step(state, tiny_dataset, hp, (noise_u, noise_v, 0.0),
+                              log_joint(state, tiny_dataset, hp))
+        assert frac == 1.0
+        # the proposal is in the state's own arrays
+        assert state.u is u and state.v is v
+        assert np.array_equal(state.u, noise_u) and np.array_equal(state.v, noise_v)
+        assert log_g == log_joint(state, tiny_dataset, hp)
 
     def test_rejected_step_repeats_state_exactly(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
@@ -145,13 +155,14 @@ class TestMhStep:
         state = LatentState(np.array([[0.1]]), np.array([[0.1]]))
         saw_rejection = False
         for _ in range(200):
-            new, accepted, _ = mh_step(state, tiny_dataset, hp,
-                                       joint_draws(rng, cfg.proposal_std, state),
-                                       log_joint(state, tiny_dataset, hp))
-            if not accepted:
+            before = copy.deepcopy(state)
+            log_g = log_joint(state, tiny_dataset, hp)
+            frac, new_log_g = mh_step(state, tiny_dataset, hp,
+                                      joint_draws(rng, cfg.proposal_std, state), log_g)
+            if frac == 0.0:
                 saw_rejection = True
-                assert new is state
-            state = new
+                assert np.array_equal(state.u, before.u) and np.array_equal(state.v, before.v)
+                assert new_log_g == log_g
         assert saw_rejection
 
     def test_moderate_acceptance_rate(self, tiny_dataset):
@@ -167,7 +178,16 @@ class TestRunChain:
         cfg = joint(n_steps=10, burn_in=5, thin=5, proposal_std=0.5)
         trace, states = retained_states(tiny_dataset, hp, cfg)
         assert len(states) == 1
-        assert trace.step_count == 10
+        assert trace.energies.size == trace.accepted.size == 10
+
+    @pytest.mark.parametrize("proposal", ["joint", "rowwise"])
+    def test_acceptance_is_one_float_per_step(self, proposal):
+        data = make_dataset(6, 7, 20, seed=2)
+        cfg = McmcConfig(n_steps=300, burn_in=0, proposal_std=0.5, proposal=proposal)
+        trace = run_chain(data, ModelHyperparams(2, 0.25), cfg, lambda state: None)
+        assert trace.accepted.dtype == np.float64 and trace.accepted.shape == (300,)
+        assert 0.0 < trace.acceptance_rate < 1.0
+        assert trace.acceptance_rate == trace.accepted.mean()
 
     def test_deterministic_energies(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
@@ -185,11 +205,11 @@ class TestRunChain:
         sweep, prefetched = mcmc.rowwise_sweep, mcmc.prefetched
         calls, draws = [], []
 
-        def three_sweeps(*args):
+        def three_sweeps(*args, **kwargs):
             calls.append(None)
             if len(calls) > 3:
                 raise Stop
-            return sweep(*args)
+            return sweep(*args, **kwargs)
 
         def counted(draw, count, size):
             def counted_draw():
@@ -316,8 +336,7 @@ class TestRowwiseKernel:
         before = copy.deepcopy(state)
         rng = RecordingRng(5)
         frac, log_g = rowwise_sweep(state, data, hp, rowwise_draws(rng, cfg.proposal_std, state),
-                                    RowwiseCache.for_state(before, data),
-                                    log_joint(before, data, hp))
+                                    log_joint(before, data, hp), RowwiseCache.for_state(before, data))
 
         expect = copy.deepcopy(before)
         n_accepted = 0
@@ -327,7 +346,7 @@ class TestRowwiseKernel:
                 moved = moved_row(expect, side, i, rows[i] + noise[i])
                 ratio = log_joint(moved, data, hp) - log_joint(
                     moved_row(expect, side, i, rows[i]), data, hp)
-                if uniform[i] < acceptance_ratio(0.0, ratio):
+                if uniform[i] < np.exp(min(0.0, ratio)):  # the MH rule, restated
                     getattr(expect, side)[i] = rows[i] + noise[i]
                     n_accepted += 1
         np.testing.assert_array_equal(state.u, expect.u)
@@ -380,8 +399,6 @@ class TestRowwiseKernel:
         np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
         assert np.all((trace.accepted >= 0.0) & (trace.accepted <= 1.0))
         assert 0.0 < trace.acceptance_rate < 1.0
-        assert trace.acceptance_rate == pytest.approx(trace.accepted.mean(), rel=1e-12)
-        assert trace.accept_count / trace.step_count == trace.acceptance_rate
 
     def test_deterministic(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)

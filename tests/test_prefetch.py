@@ -6,6 +6,7 @@ import copy
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -159,15 +160,13 @@ def serial_chain(data, hp, cfg):
     state = LatentState(rng.normal(0.0, 1.0, size=(data.n_users, hp.k)),
                         rng.normal(0.0, 1.0, size=(data.n_items, hp.k)))
     log_g = log_joint(state, data, hp)
-    cache = RowwiseCache.for_state(state, data) if cfg.proposal == "rowwise" else None
+    if cfg.proposal == "rowwise":
+        step, draw = partial(rowwise_sweep, cache=RowwiseCache.for_state(state, data)), rowwise_draws
+    else:
+        step, draw = mh_step, joint_draws
     energies, accepted, kept = [], [], []
     for t in range(cfg.n_steps):
-        if cache is None:
-            state, acc, log_g = mh_step(state, data, hp,
-                                        joint_draws(rng, cfg.proposal_std, state), log_g)
-        else:
-            acc, log_g = rowwise_sweep(state, data, hp,
-                                       rowwise_draws(rng, cfg.proposal_std, state), cache, log_g)
+        acc, log_g = step(state, data, hp, draw(rng, cfg.proposal_std, state), log_g)
         energies.append(log_g)
         accepted.append(acc)
         if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:

@@ -1,7 +1,6 @@
 """Every public name in src/bpmf has a caller outside the tests."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -31,19 +30,18 @@ def public_definitions(tree):
 
 def test_every_public_name_has_a_caller():
     # a public function or class must be referenced in src/bpmf or demos/,
-    # outside its own definition, or named in README.md; a public method
-    # only counts references of the form ``obj.name``, so a local variable
+    # outside its own definition (a mention in README.md is no caller); a public
+    # method only counts references of the form ``obj.name``, so a local variable
     # of the same spelling is no caller; a re-export is an import, not a reference
     trees = {path: ast.parse(path.read_text()) for path in [*PACKAGE, *ROOT.glob("demos/*.py")]}
     used = sum((references(tree) for tree in trees.values()), Counter())
     attributes = sum((references(tree, ast.Attribute) for tree in trees.values()), Counter())
-    named = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     unused = []
     for path in PACKAGE:
         for item, is_method in public_definitions(trees[path]):
             kinds = ast.Attribute if is_method else (ast.Name, ast.Attribute)
             callers = attributes if is_method else used
-            if item.name not in named and callers[item.name] == references(item, kinds)[item.name]:
+            if callers[item.name] == references(item, kinds)[item.name]:
                 unused.append(f"{path.name}: {item.name}")
     assert not unused, f"public names that nothing calls: {unused}"
 
