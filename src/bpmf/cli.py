@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--burn-in", type=int, help="MCMC burn-in (default 60%% of steps)")
     run.add_argument("--thin", type=int, help="MCMC thinning stride")
     run.add_argument("--proposal-std", type=float,
-                     help="MCMC row-blocked random-walk step std (default 0.2)")
+                     help="MCMC row-blocked random-walk step std "
+                          f"(default {DEFAULT_CONFIGS['mcmc'].proposal_std})")
 
     cmp_ = sub.add_parser("compare", help="tabulate two or more report.json files")
     cmp_.add_argument("reports", nargs="+", metavar="report.json")

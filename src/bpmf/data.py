@@ -41,23 +41,13 @@ _IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 @dataclass
-class IdMaps:
-    """Bijections between original sparse IDs and dense indices."""
-
-    user_to_index: dict
-    item_to_index: dict
-    index_to_user: list
-    index_to_item: list
-
-
-@dataclass
 class SplitDataset:
     train: RatingDataset
     validation: RatingDataset
     test: RatingDataset
     # validation then test: the pairs a run is scored on
     held_out: RatingDataset
-    maps: IdMaps | None = None
+    maps: tuple[np.ndarray, np.ndarray] | None = None  # build_dataset's ID arrays, as given
 
 
 def load_ratings(source):
@@ -243,26 +233,24 @@ def _first_appearance(ids):
 
 
 def build_dataset(ratings, scale: RatingScale):
-    """Remap IDs densely and normalize ratings; returns (RatingDataset, IdMaps).
+    """Remap IDs densely and normalize ratings; returns (RatingDataset, (user_ids, movie_ids)).
 
     ``ratings`` and ``scale`` are what ``load_ratings`` returns, so no
     (user, movie) pair repeats: the parser rejects a file that repeats one.
+    The ID arrays (int64) hold the distinct IDs in first-appearance order,
+    so ``user_ids[data.user_idx]`` is the user column.
     """
     user_ids, movie_ids, values = ratings
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise BpmfError("cannot build a dataset from zero ratings")
-    users, ii = _first_appearance(np.asarray(user_ids, dtype=np.int64))
-    items, jj = _first_appearance(np.asarray(movie_ids, dtype=np.int64))
+    users, ii = _first_appearance(np.ascontiguousarray(user_ids, dtype=np.int64))
+    items, jj = _first_appearance(np.ascontiguousarray(movie_ids, dtype=np.int64))
     data = RatingDataset(users.size, items.size, ii, jj, (values - scale.r_min) / scale.span, scale)
-    users, items = users.tolist(), items.tolist()
-    maps = IdMaps(user_to_index=dict(zip(users, range(len(users)))),
-                  item_to_index=dict(zip(items, range(len(items)))),
-                  index_to_user=users, index_to_item=items)
-    return data, maps
+    return data, (users, items)
 
 
-def split_dataset(data: RatingDataset, seed: int = 0, maps: IdMaps | None = None) -> SplitDataset:
+def split_dataset(data: RatingDataset, seed: int = 0, maps: tuple | None = None) -> SplitDataset:
     """Random train/validation/test partition of the rating triples.
 
     The triple order is permuted with a seeded PCG64 generator and cut at

@@ -84,18 +84,15 @@ class ExperimentReport:
         unknown = sorted(set(payload) - set(names))
         if missing or unknown:
             raise DataFormatError(f"missing fields {missing}, unknown fields {unknown}")
+        # each field that is not a plain number; an engine, when present, must be one bpmf runs
+        checks = {
+            "config": lambda v: isinstance(v, dict) and v.get("engine", ENGINES[0]) in ENGINES,
+            "loss_trace": lambda v: isinstance(v, list) and all(_is_number(x) for x in v),
+            "timings": lambda v: isinstance(v, dict) and all(_is_number(x) for x in v.values()),
+            "peak_rss_mb": lambda v: v is None or _is_number(v),
+        }
         for name, value in payload.items():
-            if name == "config":  # an engine, when present, must be one that bpmf runs
-                ok = isinstance(value, dict) and value.get("engine", ENGINES[0]) in ENGINES
-            elif name == "loss_trace":
-                ok = isinstance(value, list) and all(_is_number(x) for x in value)
-            elif name == "timings":
-                ok = isinstance(value, dict) and all(_is_number(x) for x in value.values())
-            elif name == "peak_rss_mb":
-                ok = value is None or _is_number(value)
-            else:
-                ok = _is_number(value)
-            if not ok:
+            if not checks.get(name, _is_number)(value):
                 raise DataFormatError(f"field {name!r} has the wrong type or value")
         return cls(**payload)
 

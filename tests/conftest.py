@@ -43,8 +43,8 @@ def ratings_csv_path(tmp_path_factory):
 def full_dataset(ratings_csv_path):
     """The full-size file parsed and densified once per session."""
     raw, scale = load_ratings(ratings_csv_path)
-    data, maps = build_dataset(raw, scale)
-    return data, maps, scale
+    data, id_arrays = build_dataset(raw, scale)
+    return data, id_arrays, scale
 
 
 def make_dataset(n_users, n_items, n_ratings, seed=0, k_true=2):

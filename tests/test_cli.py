@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bpmf.cli import _engine_config, build_parser, main
 from bpmf.evaluate import ENGINES, ExperimentConfig
+from bpmf.mcmc import McmcConfig
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,13 @@ class TestRun:
         assert optional and all(action.default is None for action in optional)
         engine = next(action for action in run._actions if action.dest == "engine")
         assert tuple(engine.choices) == ENGINES
+
+    @pytest.mark.parametrize("std", [McmcConfig.proposal_std, 0.37])
+    def test_proposal_std_help_shows_the_config_default(self, capsys, monkeypatch, std):
+        monkeypatch.setattr(McmcConfig, "proposal_std", std)
+        assert run_cli("run", "--help") == 0
+        # argparse wraps help text at the terminal width
+        assert f"std (default {std})" in " ".join(capsys.readouterr().out.split())
 
     def test_missing_required_flag_is_usage_error(self, small_csv):
         assert run_cli("run", "--engine", "mf", "--data", str(small_csv)) == 1

@@ -159,15 +159,16 @@ def assert_same_columns(got, expected):
 
 def assert_same_dataset(columns, scale):
     """build_dataset output equals the reference remap bit for bit."""
-    data, maps = build_dataset(columns, scale)
+    data, (user_ids, movie_ids) = build_dataset(columns, scale)
     ii, jj, rr, user_map, item_map = reference_build(columns, scale)
     assert data.user_idx.tolist() == ii
     assert data.item_idx.tolist() == jj
     assert data.rating.tobytes() == np.array(rr).tobytes()
-    assert list(maps.user_to_index.items()) == list(user_map.items())
-    assert list(maps.item_to_index.items()) == list(item_map.items())
-    assert maps.index_to_user == list(user_map)
-    assert maps.index_to_item == list(item_map)
+    assert user_ids.dtype == movie_ids.dtype == np.int64
+    assert user_ids.tolist() == list(user_map)
+    assert movie_ids.tolist() == list(item_map)
+    np.testing.assert_array_equal(user_ids[data.user_idx], columns[0])
+    np.testing.assert_array_equal(movie_ids[data.item_idx], columns[1])
 
 
 @pytest.fixture(scope="module")
@@ -366,34 +367,33 @@ def test_columnar_parse_matches_row_loop(scratch_csv, body, bom, crlf_header):
 
 class TestBuildDataset:
     def test_full_size_counts(self, full_dataset):
-        data, maps, _ = full_dataset
+        data, (user_ids, movie_ids), _ = full_dataset
         assert data.n_users == 610
         assert data.n_items == 9_724
         assert data.n_ratings == 100_836
-        assert len(maps.user_to_index) == 610
-        assert len(maps.item_to_index) == 9_724
+        assert user_ids.size == 610
+        assert movie_ids.size == 9_724
 
     def test_single_rating(self):
-        data, maps = build_dataset(columns((7, 42, 5.0)), RatingScale(5))
+        data, (user_ids, movie_ids) = build_dataset(columns((7, 42, 5.0)), RatingScale(5))
         assert (data.n_users, data.n_items) == (1, 1)
         assert (data.user_idx.tolist(), data.item_idx.tolist(), data.rating.tolist()) == (
             [0], [0], [1.0])
-        assert maps.user_to_index == {7: 0}
-        assert maps.item_to_index == {42: 0}
+        assert user_ids.tolist() == [7]
+        assert movie_ids.tolist() == [42]
 
     def test_two_users_share_one_movie(self):
-        data, maps = build_dataset(columns((5, 9, 3.0), (2, 9, 4.0)), RatingScale(5))
+        data, (user_ids, _) = build_dataset(columns((5, 9, 3.0), (2, 9, 4.0)), RatingScale(5))
         assert data.n_items == 1
         assert sorted(data.user_idx.tolist()) == [0, 1]
-        assert maps.user_to_index == {5: 0, 2: 1}
+        assert user_ids.tolist() == [5, 2]
 
     def test_first_appearance_order(self):
         raw = columns((30, 7, 1.0), (10, 5, 2.0), (30, 5, 3.0))
-        _, maps = build_dataset(raw, RatingScale(5))
-        assert maps.user_to_index == {30: 0, 10: 1}
-        assert maps.item_to_index == {7: 0, 5: 1}
-        assert maps.index_to_user == [30, 10]
-        assert maps.index_to_item == [7, 5]
+        data, (user_ids, movie_ids) = build_dataset(raw, RatingScale(5))
+        assert (data.user_idx.tolist(), data.item_idx.tolist()) == ([0, 1, 0], [0, 1, 1])
+        assert user_ids.tolist() == [30, 10]
+        assert movie_ids.tolist() == [7, 5]
 
     def test_empty_input_errors(self):
         with pytest.raises(BpmfError):
@@ -413,12 +413,29 @@ class TestBuildDataset:
         recovered = denormalize_rating(data.rating, detected)
         np.testing.assert_allclose(recovered, raw[2], atol=1e-12)
 
-    def test_id_maps_are_bijections(self, full_dataset):
-        _, maps, _ = full_dataset
-        for uid, idx in maps.user_to_index.items():
-            assert maps.index_to_user[idx] == uid
-        for mid, idx in maps.item_to_index.items():
-            assert maps.index_to_item[idx] == mid
+    def test_id_maps_are_bijections(self, full_dataset, ratings_csv_path):
+        data, (user_ids, movie_ids), _ = full_dataset
+        (users, movies, _), _ = load_ratings(ratings_csv_path)
+        # one distinct ID per row, and each rating's row maps back to its own ID
+        assert np.unique(user_ids).size == user_ids.size == data.n_users
+        assert np.unique(movie_ids).size == movie_ids.size == data.n_items
+        np.testing.assert_array_equal(user_ids[data.user_idx], users)
+        np.testing.assert_array_equal(movie_ids[data.item_idx], movies)
+
+    @pytest.mark.parametrize("ids", [
+        [3, 1, 3, 2, 1],  # dense: the lookup table
+        [10**12, 5, 10**12, -7, 5],  # sparse: packed keys
+        [2**63 - 1, -(2**63), 2**63 - 1, 0, -(2**63)],  # too wide to pack: stable argsort
+    ], ids=["dense", "sparse", "int64-edge"])
+    def test_id_arrays_recover_the_columns(self, tmp_path, ids):
+        path = tmp_path / "ratings.csv"
+        path.write_text(HEADER + "".join(f"{u},{m},3,0\n" for u, m in zip(ids, ids[::-1])))
+        raw, scale = load_ratings(path)
+        data, (user_ids, movie_ids) = build_dataset(raw, scale)
+        assert user_ids.dtype == movie_ids.dtype == np.int64
+        assert user_ids.tolist() == list(dict.fromkeys(ids))
+        np.testing.assert_array_equal(user_ids[data.user_idx], raw[0])
+        np.testing.assert_array_equal(movie_ids[data.item_idx], raw[1])
 
 
 def unique_first_appearance(ids):

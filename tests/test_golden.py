@@ -117,8 +117,7 @@ def data_digests(case: str, directory: Path) -> dict:
     path = directory / f"{case}.csv"
     path.write_bytes(DATA_FILES[case])
     raw, scale = load_ratings(path)
-    data, maps = build_dataset(raw, scale)
-    id_arrays = (np.asarray(maps.index_to_user, dtype=np.int64), np.asarray(maps.index_to_item, dtype=np.int64))
+    data, id_arrays = build_dataset(raw, scale)
     return {
         "load_ratings": sha256_arrays(*raw) + " " + repr(scale),
         "build_dataset": sha256_arrays(data.user_idx, data.item_idx, data.rating, *id_arrays)
