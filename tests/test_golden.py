@@ -173,8 +173,8 @@ def test_data_arrays_match(case, golden, directory):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(f"usage: {REGENERATE}")
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as tmp:
         payload = {"versions": versions(), "regenerate": REGENERATE,
-                   "digests": all_digests(Path(scratch))}
+                   "digests": all_digests(Path(tmp))}
     GOLDEN.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {GOLDEN}")
