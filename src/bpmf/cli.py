@@ -10,6 +10,7 @@ import json
 import os
 import sys
 
+from . import mcmc
 from .errors import BpmfError, DataFormatError, UsageError
 from .evaluate import (DEFAULT_CONFIGS, ENGINES, ExperimentConfig, ExperimentReport, compare,
                        run_experiment)
@@ -47,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lr", type=float, help="MF/VI learning rate")
     run.add_argument("--mc-samples", type=int, help="VI ELBO samples per epoch")
     run.add_argument("--n-steps", type=int, help="MCMC chain length")
-    run.add_argument("--burn-in", type=int, help="MCMC burn-in (default 60%% of steps)")
+    run.add_argument("--burn-in", type=int,
+                     help=f"MCMC burn-in (default {100 * mcmc.BURN_IN_SHARE:g}%% of steps)")
     run.add_argument("--thin", type=int, help="MCMC thinning stride")
     run.add_argument("--proposal-std", type=float,
                      help="MCMC row-blocked random-walk step std "

@@ -9,9 +9,10 @@ chain's one state in place and return (fraction accepted, log joint):
   ``McmcConfig()`` and ``bpmf run`` train): given V the user rows are
   conditionally independent, and so are the item rows given U. A sweep
   proposes every user row at once and accepts or rejects each row with
-  its own exact MH ratio (a per-row ``bincount`` of cached per-rating
-  squared residuals plus the row's prior term), then does the same for
-  the item rows given the new U.
+  its own exact MH ratio (a per-row ``bincount`` of per-rating squared
+  residuals plus the row's prior term), then does the same for the item
+  rows given the new U. The chain keeps each rating's squared residual
+  current across sweeps, so a sweep computes only the proposals' ones.
 - ``"joint"`` (the paper's kernel, ``McmcConfig(proposal="joint",
   proposal_std=...)`` with a step chosen for the problem size): one
   proposal moves every entry of (U, V) and one accept/reject decision
@@ -45,15 +46,17 @@ from .model import (
 )
 
 PROPOSALS = ("joint", "rowwise")
+# the share of the steps a burn-in left as None discards
+BURN_IN_SHARE = 0.6
 
 
 @dataclass(frozen=True)
 class McmcConfig:
     """Chain settings; the defaults are the chain ``bpmf run`` trains.
 
-    A ``burn_in`` left as None is 60% of the steps; a ``thin`` left as
-    None retains about 100 samples, which bounds the cost of averaging
-    over them.
+    A ``burn_in`` left as None is ``BURN_IN_SHARE`` of the steps; a
+    ``thin`` left as None retains about 100 samples, which bounds the
+    cost of averaging over them.
     """
 
     n_steps: int = 20_000
@@ -67,7 +70,7 @@ class McmcConfig:
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.burn_in is None:
-            object.__setattr__(self, "burn_in", int(0.6 * self.n_steps))
+            object.__setattr__(self, "burn_in", int(BURN_IN_SHARE * self.n_steps))
         if self.thin is None:
             object.__setattr__(self, "thin", max(1, (self.n_steps - self.burn_in) // 100))
         if self.proposal not in PROPOSALS:
@@ -132,59 +135,34 @@ def row_log_ratios(rows, proposed, own_idx, sq_resid, sq_proposed, sigma2):
     return lik / (2.0 * sigma2) + 0.5 * prior
 
 
-@dataclass
-class RowwiseCache:
-    """What the row-blocked kernel keeps between sweeps of one chain.
-
-    ``sq_resid`` is each rating's squared residual under the current
-    state; ``buffers`` are the scratch arrays of :func:`rating_residuals`.
-    """
-
-    sq_resid: np.ndarray
-    buffers: tuple
-
-    @classmethod
-    def for_state(cls, state: LatentState, data: RatingDataset) -> "RowwiseCache":
-        buffers = dot_buffers(data.n_ratings, state.k)
-        resid = rating_residuals(state.u, state.v, data.user_idx, data.item_idx,
-                                 data.rating, buffers)
-        return cls(sq_resid=resid**2, buffers=buffers)
-
-
-def _update_rows(rows, other, own_idx, other_idx, data, cache, sigma2, noise, uniforms):
-    """MH-update every row of ``rows`` in place given ``other``.
-
-    Keeps ``cache.sq_resid`` in step; returns (accepted row count,
-    change in log_joint).
-    """
-    proposed = rows + noise
-    if not np.isfinite(proposed).all():
-        raise ValueError("latent factors must be finite")
-    resid = rating_residuals(proposed, other, own_idx, other_idx, data.rating, cache.buffers)
-    sq_proposed = np.square(resid, out=resid)
-    log_ratio = row_log_ratios(rows, proposed, own_idx, cache.sq_resid, sq_proposed, sigma2)
-    accept = uniforms < np.exp(np.minimum(0.0, log_ratio))
-    np.copyto(rows, proposed, where=accept[:, None])
-    np.putmask(cache.sq_resid, np.take(accept, own_idx), sq_proposed)
-    return int(np.count_nonzero(accept)), float(np.sum(log_ratio[accept]))
-
-
 def rowwise_sweep(state: LatentState, data: RatingDataset, hp: ModelHyperparams,
-                  draws, log_g: float, cache: RowwiseCache):
+                  draws, log_g: float, sq_resid, buffers):
     """One row-blocked sweep: all user rows given V, then all item rows given U.
 
-    Updates ``state`` and ``cache`` in place. ``draws`` is the sweep's
-    (user noise, user uniforms, item noise, item uniforms), drawn in that
-    order by :func:`run_chain` from its seeded generator. Returns
-    (fraction of row proposals accepted, log_joint of the new state), as
-    :func:`mh_step` does.
+    Updates ``state`` and ``sq_resid``, each rating's squared residual under
+    the current state, in place; ``buffers`` are the scratch arrays of
+    :func:`rating_residuals`. ``draws`` is the sweep's (user noise, user
+    uniforms, item noise, item uniforms), drawn in that order by
+    :func:`run_chain` from its seeded generator. Returns (fraction of row
+    proposals accepted, log_joint of the new state), as :func:`mh_step` does.
     """
     noise_u, uniforms_u, noise_v, uniforms_v = draws
-    n_u, d_u = _update_rows(state.u, state.v, data.user_idx, data.item_idx, data,
-                            cache, hp.sigma2, noise_u, uniforms_u)
-    n_v, d_v = _update_rows(state.v, state.u, data.item_idx, data.user_idx, data,
-                            cache, hp.sigma2, noise_v, uniforms_v)
-    return (n_u + n_v) / (data.n_users + data.n_items), log_g + d_u + d_v
+    n_accepted = 0
+    for rows, other, own_idx, other_idx, noise, uniforms in (
+            (state.u, state.v, data.user_idx, data.item_idx, noise_u, uniforms_u),
+            (state.v, state.u, data.item_idx, data.user_idx, noise_v, uniforms_v)):
+        proposed = rows + noise
+        if not np.isfinite(proposed).all():
+            raise ValueError("latent factors must be finite")
+        resid = rating_residuals(proposed, other, own_idx, other_idx, data.rating, buffers)
+        sq_proposed = np.square(resid, out=resid)
+        log_ratio = row_log_ratios(rows, proposed, own_idx, sq_resid, sq_proposed, hp.sigma2)
+        accept = uniforms < np.exp(np.minimum(0.0, log_ratio))
+        np.copyto(rows, proposed, where=accept[:, None])
+        np.putmask(sq_resid, np.take(accept, own_idx), sq_proposed)
+        n_accepted += np.count_nonzero(accept)
+        log_g += float(np.sum(log_ratio[accept]))
+    return n_accepted / (data.n_users + data.n_items), log_g
 
 
 def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
@@ -203,14 +181,20 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
     if not np.isfinite(log_g):
         raise BpmfError("non-finite log joint at initialization")
 
-    rowwise = cfg.proposal == "rowwise"
-    step = partial(rowwise_sweep, cache=RowwiseCache.for_state(state, data)) if rowwise else mh_step
+    if cfg.proposal == "rowwise":
+        buffers = dot_buffers(data.n_ratings, hp.k)
+        sq_resid = rating_residuals(state.u, state.v, data.user_idx, data.item_idx,
+                                    data.rating, buffers) ** 2
+        step = partial(rowwise_sweep, sq_resid=sq_resid, buffers=buffers)
 
-    def draw():  # one step's random numbers, in the order its kernel documents
-        if not rowwise:
+        def draw():  # one sweep's random numbers, in the order rowwise_sweep documents
+            return (rng.normal(0.0, std, size_u), rng.uniform(size=data.n_users),
+                    rng.normal(0.0, std, size_v), rng.uniform(size=data.n_items))
+    else:
+        step = mh_step
+
+        def draw():  # one step's random numbers, in the order mh_step documents
             return rng.normal(0.0, std, size_u), rng.normal(0.0, std, size_v), rng.uniform()
-        return (rng.normal(0.0, std, size_u), rng.uniform(size=data.n_users),
-                rng.normal(0.0, std, size_v), rng.uniform(size=data.n_items))
 
     energies, accepted = [], []
     with prefetched(draw, cfg.n_steps, (data.n_users + data.n_items) * (hp.k + 1)) as steps:

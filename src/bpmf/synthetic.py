@@ -23,13 +23,16 @@ ML_SMALL_RATINGS = 100_836
 def _sample_pairs(rng, n_users, n_items, n_ratings):
     """Unique (user, movie) pairs with heavy-tailed marginals, every user
     and movie covered, exactly n_ratings pairs."""
+    if not max(n_users, n_items) <= n_ratings <= n_users * n_items:
+        raise ValueError(f"cannot draw {n_ratings} distinct pairs that cover "
+                         f"{n_users} users and {n_items} movies")
     user_w = rng.lognormal(0.0, 1.0, n_users)
     user_w /= user_w.sum()
     item_w = rng.lognormal(0.0, 1.4, n_items)
     item_w /= item_w.sum()
 
     keys = np.empty(0, dtype=np.int64)
-    while keys.size < int(n_ratings * 1.03):
+    while keys.size < min(int(n_ratings * 1.03), n_users * n_items):
         uu = rng.choice(n_users, size=2 * n_ratings, p=user_w)
         mm = rng.choice(n_items, size=2 * n_ratings, p=item_w)
         # sorted distinct keys by np.sort and a neighbour compare, not
@@ -64,8 +67,6 @@ def _sample_pairs(rng, n_users, n_items, n_ratings):
     user_counts = np.bincount(uu, minlength=n_users)
     item_counts = np.bincount(mm, minlength=n_items)
     surplus = uu.size - n_ratings
-    if surplus < 0:
-        raise RuntimeError("pair sampling produced too few unique pairs")
     keep = np.ones(uu.size, dtype=bool)
     for t in rng.permutation(uu.size):
         if surplus == 0:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bpmf import mcmc
 from bpmf.cli import _engine_config, build_parser, main
 from bpmf.evaluate import ENGINES, ExperimentConfig
 from bpmf.mcmc import McmcConfig
@@ -108,6 +109,14 @@ class TestRun:
         assert run_cli("run", "--help") == 0
         # argparse wraps help text at the terminal width
         assert f"std (default {std})" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("share, shown", [(0.6, "60%"), (0.25, "25%")])
+    def test_burn_in_help_shows_the_config_share(self, capsys, monkeypatch, share, shown):
+        # one share sets both the config's default burn-in and the help's
+        monkeypatch.setattr(mcmc, "BURN_IN_SHARE", share)
+        assert McmcConfig(n_steps=200).burn_in == int(share * 200)
+        assert run_cli("run", "--help") == 0
+        assert f"burn-in (default {shown} of steps)" in " ".join(capsys.readouterr().out.split())
 
     def test_missing_required_flag_is_usage_error(self, small_csv):
         assert run_cli("run", "--engine", "mf", "--data", str(small_csv)) == 1

@@ -11,7 +11,6 @@ from bpmf import mcmc
 from bpmf.errors import BpmfError, DivergenceError
 from bpmf.mcmc import (
     McmcConfig,
-    RowwiseCache,
     mh_step,
     row_log_ratios,
     rowwise_sweep,
@@ -25,6 +24,7 @@ from bpmf.model import (
     RatingDataset,
     RatingScale,
     denormalize_rating,
+    dot_buffers,
     log_joint,
     rating_residuals,
     row_dots,
@@ -293,6 +293,19 @@ def rowwise(**kw):
     return McmcConfig(proposal="rowwise", **kw)
 
 
+def spy_sweeps(monkeypatch):
+    """Record each ``rowwise_sweep`` call's (state, sq_resid, buffers) as the
+    sweep starts; the state and sq_resid are copies, as the sweep moves both."""
+    sweep, calls = mcmc.rowwise_sweep, []
+
+    def spy(state, data, hp, draws, log_g, sq_resid, buffers):
+        calls.append((copy.deepcopy(state), sq_resid.copy(), buffers))
+        return sweep(state, data, hp, draws, log_g, sq_resid, buffers)
+
+    monkeypatch.setattr(mcmc, "rowwise_sweep", spy)
+    return calls
+
+
 def moved_row(state, side, i, row):
     moved = copy.deepcopy(state)
     getattr(moved, side)[i] = row
@@ -335,8 +348,10 @@ class TestRowwiseKernel:
         state = LatentState(init.normal(size=(4, 2)), init.normal(size=(5, 2)))
         before = copy.deepcopy(state)
         rng = RecordingRng(5)
+        sq_resid = rating_residuals(state.u, state.v, data.user_idx, data.item_idx, data.rating) ** 2
         frac, log_g = rowwise_sweep(state, data, hp, rowwise_draws(rng, cfg.proposal_std, state),
-                                    log_joint(before, data, hp), RowwiseCache.for_state(before, data))
+                                    log_joint(before, data, hp), sq_resid,
+                                    dot_buffers(data.n_ratings, hp.k))
 
         expect = copy.deepcopy(before)
         n_accepted = 0
@@ -354,16 +369,33 @@ class TestRowwiseKernel:
         assert frac == n_accepted / (4 + 5)
         assert log_g == pytest.approx(log_joint(expect, data, hp), abs=1e-10)
 
-    def test_cache_holds_no_full_gather(self):
+    def test_cache_holds_no_full_gather(self, monkeypatch):
+        # the scratch run_chain hands the first sweep: row_dots blocks, and the
+        # squared residuals of the initial state
         k = 40
         data = make_dataset(60, 80, 3 * BLOCK_ELEMENTS // k + 5, seed=2)
-        init = np.random.default_rng(1)
-        state = LatentState(init.normal(size=(60, k)), init.normal(size=(80, k)))
-        cache = RowwiseCache.for_state(state, data)
+        calls = spy_sweeps(monkeypatch)
+        run_chain(data, ModelHyperparams(k, 0.25), rowwise(n_steps=1, burn_in=0), lambda s: None)
+        state, sq_resid, buffers = calls[0]
         block = (BLOCK_ELEMENTS // k, k)
-        assert [b.shape for b in cache.buffers] == [block, block, (data.n_ratings,)]
+        assert [b.shape for b in buffers] == [block, block, (data.n_ratings,)]
         dots = np.einsum("ij,ij->i", state.u[data.user_idx], state.v[data.item_idx])
-        assert np.array_equal(cache.sq_resid, (data.rating - sigmoid(dots)) ** 2)
+        assert np.array_equal(sq_resid, (data.rating - sigmoid(dots)) ** 2)
+
+    # 20 ratings; 2,462 at k=40 (three row_dots blocks and 5 rows); 20,000 at k=10 (7 blocks)
+    @pytest.mark.parametrize("shape, k", [((6, 7, 20), 2), ((60, 80, 2462), 40),
+                                          ((200, 300, 20_000), 10)])
+    def test_cached_residuals_stay_exact(self, shape, k, monkeypatch):
+        # the squared residuals the chain carries equal those of its state, bit
+        # for bit, after 50 sweeps of partly accepted user and item rows
+        data = make_dataset(*shape, seed=2)
+        calls = spy_sweeps(monkeypatch)
+        trace = run_chain(data, ModelHyperparams(k, 0.25), rowwise(n_steps=51, burn_in=0),
+                          lambda s: None)
+        assert 0 < trace.accepted[:50].mean() < 1
+        state, sq_resid, _ = calls[50]
+        exact = rating_residuals(state.u, state.v, data.user_idx, data.item_idx, data.rating) ** 2
+        assert np.array_equal(sq_resid, exact)
 
     def test_energies_are_log_joint_of_retained_states(self):
         data = make_dataset(6, 7, 20, seed=2)

@@ -13,9 +13,9 @@ import pytest
 
 from bpmf import model
 from bpmf.errors import DivergenceError
-from bpmf.mcmc import McmcConfig, RowwiseCache, mh_step, rowwise_sweep, run_chain
+from bpmf.mcmc import McmcConfig, mh_step, rowwise_sweep, run_chain
 from bpmf.model import (PREFETCH_MIN_SIZE, LatentState, ModelHyperparams, PosteriorMean,
-                        dot_buffers, log_joint, prefetched, rating_patterns)
+                        dot_buffers, log_joint, prefetched, rating_patterns, rating_residuals)
 from bpmf.vi import (PREDICT_SAMPLES, ViConfig, draw_noise, elbo_value_with_noise, elbo_with_noise,
                      init_params, vi_predict_batch, vi_train)
 
@@ -161,7 +161,9 @@ def serial_chain(data, hp, cfg):
                         rng.normal(0.0, 1.0, size=(data.n_items, hp.k)))
     log_g = log_joint(state, data, hp)
     if cfg.proposal == "rowwise":
-        step, draw = partial(rowwise_sweep, cache=RowwiseCache.for_state(state, data)), rowwise_draws
+        sq_resid = rating_residuals(state.u, state.v, data.user_idx, data.item_idx, data.rating) ** 2
+        step = partial(rowwise_sweep, sq_resid=sq_resid, buffers=dot_buffers(data.n_ratings, hp.k))
+        draw = rowwise_draws
     else:
         step, draw = mh_step, joint_draws
     energies, accepted, kept = [], [], []

@@ -1,9 +1,16 @@
 """Tests for the synthetic ratings generator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bpmf.synthetic import _sample_pairs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def sample_pairs_reference(rng, n_users, n_items, n_ratings):
@@ -76,3 +83,34 @@ def test_sample_pairs_matches_the_unique_reference(shape, seed):
     assert np.unique(uu * n_items + mm).size == n_ratings
     assert np.all(np.bincount(uu, minlength=n_users) > 0)
     assert np.all(np.bincount(mm, minlength=n_items) > 0)
+
+
+def in_child(code):
+    """Run ``code`` after importing ``synthesize_ratings`` in a fresh
+    interpreter, under a timeout, so a request that never ends fails the test
+    instead of hanging the suite; returns its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", f"from bpmf.synthetic import synthesize_ratings\n{code}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+# every pair of the matrix; the pair loop's target, 3% above the request,
+# once exceeded the number of pairs that exist and the loop never ended
+@pytest.mark.parametrize("shape", [(10, 10, 100), (30, 200, 6000)])
+def test_dense_request_fills_the_matrix(shape):
+    n_users, n_items, n_ratings = shape
+    out = in_child(f"u, m, r = synthesize_ratings{shape}\n"
+                   f"print(len({{*zip(u.tolist(), m.tolist())}}), u.min(), u.max(), m.min(), m.max())")
+    assert out.split() == [str(n_ratings), "1", str(n_users), "1", str(n_items)]
+
+
+# fewer ratings than users or than movies, or more than there are pairs
+@pytest.mark.parametrize("shape", [(5, 400, 300), (400, 5, 300), (10, 10, 101)])
+def test_impossible_request_is_a_value_error(shape):
+    out = in_child(f"try:\n    synthesize_ratings{shape}\nexcept ValueError as error:\n"
+                   f"    print(error)")
+    assert out.startswith("cannot draw ")
