@@ -158,10 +158,12 @@ def rowwise_sweep(state: LatentState, data: RatingDataset, hp: ModelHyperparams,
         sq_proposed = np.square(resid, out=resid)
         log_ratio = row_log_ratios(rows, proposed, own_idx, sq_resid, sq_proposed, hp.sigma2)
         accept = uniforms < np.exp(np.minimum(0.0, log_ratio))
-        np.copyto(rows, proposed, where=accept[:, None])
-        np.putmask(sq_resid, np.take(accept, own_idx), sq_proposed)
-        n_accepted += np.count_nonzero(accept)
-        log_g += float(np.sum(log_ratio[accept]))
+        moved = np.flatnonzero(accept)
+        rows[moved] = proposed[moved]
+        moved_ratings = np.flatnonzero(np.take(accept, own_idx))
+        sq_resid[moved_ratings] = sq_proposed[moved_ratings]
+        n_accepted += moved.size
+        log_g += float(np.sum(log_ratio[moved]))
     return n_accepted / (data.n_users + data.n_items), log_g
 
 
@@ -187,9 +189,17 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
                                     data.rating, buffers) ** 2
         step = partial(rowwise_sweep, sq_resid=sq_resid, buffers=buffers)
 
+        def scaled_normal(size):  # the numbers of rng.normal(0.0, std, size), in one array
+            noise = rng.standard_normal(size)
+            noise *= std
+            return noise
+
         def draw():  # one sweep's random numbers, in the order rowwise_sweep documents
-            return (rng.normal(0.0, std, size_u), rng.uniform(size=data.n_users),
-                    rng.normal(0.0, std, size_v), rng.uniform(size=data.n_items))
+            # errstate is per thread, so it is set here, where prefetched runs the draw;
+            # a std near the float limit overflows to inf, which the sweep reports
+            with np.errstate(over="ignore"):
+                return (scaled_normal(size_u), rng.random(data.n_users),
+                        scaled_normal(size_v), rng.random(data.n_items))
     else:
         step = mh_step
 

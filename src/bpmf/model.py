@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.special import expit
 
 from .errors import BpmfError
 
@@ -117,9 +116,17 @@ class ModelHyperparams:
             raise ValueError("sigma2 must be positive, with 2 * pi * sigma2 and 1 / sigma2 finite")
 
 
-def sigmoid(x):
-    """Numerically stable logistic function, elementwise on arrays."""
-    return expit(x)
+def sigmoid(x, out=None):
+    """Logistic function ``1 / (1 + exp(-x))`` in float64, elementwise, computed in
+    place in ``out`` (which may be ``x``) or in one new array; a scalar gives a
+    scalar. Below x = -709, exp(-x) overflows to inf, which gives exactly 0."""
+    with np.errstate(over="ignore"):
+        out = np.negative(x, out=out, dtype=np.float64)
+        if not isinstance(out, np.ndarray):
+            return 1.0 / (1.0 + np.exp(out))
+        np.exp(out, out=out)
+        np.add(out, 1.0, out=out)
+        return np.divide(1.0, out, out=out)
 
 
 def denormalize_rating(r_star, scale: RatingScale):
@@ -185,8 +192,7 @@ def rating_residuals(a, b, a_idx, b_idx, rating, buffers=None):
     The row dot is symmetric, so the same call serves (U, V) and (V, U).
     """
     out = row_dots(a, b, a_idx, b_idx, buffers)
-    expit(out, out=out)
-    return np.subtract(rating, out, out=out)
+    return np.subtract(rating, sigmoid(out, out=out), out=out)
 
 
 def rating_patterns(data: RatingDataset):
@@ -257,8 +263,8 @@ class PosteriorMean:
     def add(self, state: LatentState):
         if self._buffers is None:
             self._buffers = dot_buffers(self.user_idx.size, state.k)
-        self.total += sigmoid(row_dots(state.u, state.v, self.user_idx, self.item_idx,
-                                       self._buffers))
+        dots = row_dots(state.u, state.v, self.user_idx, self.item_idx, self._buffers)
+        self.total += sigmoid(dots, out=dots)
         self.count += 1
 
     def ratings(self, scale: RatingScale):

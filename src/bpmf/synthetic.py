@@ -77,7 +77,15 @@ def _sample_pairs(rng, n_users, n_items, n_ratings):
             item_counts[mm[t]] -= 1
             surplus -= 1
     if surplus:
-        raise RuntimeError("could not trim to the requested rating count")
+        # the trim never swaps a pair back, so it can strand a surplus (10 ratings
+        # on 10 x 10 must form a permutation): cover every user and movie with
+        # max(n_users, n_items) distinct pairs, then fill up with drawn pairs
+        t = np.arange(max(n_users, n_items))
+        cover = (rng.permutation(n_users)[t % n_users] * n_items
+                 + rng.permutation(n_items)[t % n_items])
+        drawn = uu[keep] * n_items + mm[keep]
+        keys = np.concatenate([cover, drawn[~np.isin(drawn, cover)][:n_ratings - cover.size]])
+        return keys // n_items, keys % n_items
     return uu[keep], mm[keep]
 
 

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,10 @@ from bpmf import mcmc
 from bpmf.cli import _engine_config, build_parser, main
 from bpmf.evaluate import ENGINES, ExperimentConfig
 from bpmf.mcmc import McmcConfig
+from bpmf.model import PREFETCH_MIN_SIZE
+from bpmf.synthetic import write_ratings_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +232,22 @@ class TestRun:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("bpmf: epoch ") and err.count("\n") == 1
+
+    def test_overflowing_proposal_on_the_worker_is_one_line(self, tmp_path):
+        # large enough that prefetched draws on its worker thread, whose numpy error
+        # state is its own; a child process, so a warning reaches stderr, not pytest
+        n_users, n_items, k = 600, 1_400, 10
+        assert (n_users + n_items) * (k + 1) >= PREFETCH_MIN_SIZE
+        path = write_ratings_csv(tmp_path / "ratings.csv", n_users, n_items, 5_000, seed=12)
+        result = subprocess.run(
+            [sys.executable, "-m", "bpmf.cli", "run", "--engine", "mcmc", "--data", str(path),
+             "--out", str(tmp_path / "div"), "--k", str(k), "--proposal-std", "1e308",
+             "--n-steps", "5"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("bpmf: epoch ") and result.stderr.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

@@ -9,9 +9,12 @@ regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
-and says which digests moved and why. The digests hold for the numpy and
-scipy versions recorded in the file; under other versions the test fails
-and names both, since a library upgrade may move the last bits.
+and says which digests moved and why; ``--regenerate`` prints, per case,
+the digests that differ from the file it replaces. The digests hold for the
+numpy and scipy versions recorded in the file, and for the float64 ``exp``
+kernel numpy dispatched (on x86, X86_V4, X86_V3 or a baseline one, picked by
+the CPU): the sigmoid's last bits follow that kernel. Under another version
+or kernel the test fails and names both, since either may move the last bits.
 """
 
 from __future__ import annotations
@@ -125,8 +128,19 @@ def data_digests(case: str, directory: Path) -> dict:
     }
 
 
+def exp_kernel() -> str:
+    """The float64 ``exp`` kernel numpy dispatches on this machine, or "unknown"
+    under a numpy without ``numpy.lib.introspect.opt_func_info``."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    (kernel,) = opt_func_info(func_name="^exp$", signature="float64")["exp"].values()
+    return kernel["current"]
+
+
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "numpy_exp_kernel": exp_kernel()}
 
 
 def all_digests(directory: Path) -> dict:
@@ -136,14 +150,23 @@ def all_digests(directory: Path) -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def golden():
+def recorded_digests() -> dict:
+    """The digests in golden.json; fails, naming each entry that differs, when
+    the file was made under other library versions or another exp kernel."""
     recorded = json.loads(GOLDEN.read_text())
-    made_with = recorded["versions"]
-    if made_with != versions():
-        pytest.fail(f"tests/golden.json was made with {made_with}, this is {versions()}; "
+    made_with, here = recorded["versions"], versions()
+    if made_with != here:
+        moved = "; ".join(f"{name} {made_with.get(name)} in the file, {here.get(name)} here"
+                          for name in sorted({*made_with, *here})
+                          if made_with.get(name) != here.get(name))
+        pytest.fail(f"tests/golden.json was made elsewhere: {moved}; "
                     f"check the change, then regenerate with: {REGENERATE}")
     return recorded["digests"]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return recorded_digests()
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +176,14 @@ def directory(tmp_path_factory):
 
 def test_cases_are_all_recorded(golden):
     assert sorted(golden) == sorted([*ENGINE_CASES, *DATA_FILES])
+
+
+def test_another_exp_kernel_fails_naming_both(monkeypatch):
+    made_with = json.loads(GOLDEN.read_text())["versions"]["numpy_exp_kernel"]
+    monkeypatch.setitem(globals(), "exp_kernel", lambda: "another-kernel")
+    with pytest.raises(pytest.fail.Exception,
+                       match=f"numpy_exp_kernel {made_with} in the file, another-kernel here"):
+        recorded_digests()
 
 
 def test_worker_case_draws_on_the_worker():
@@ -173,8 +204,15 @@ def test_data_arrays_match(case, golden, directory):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(f"usage: {REGENERATE}")
+    replaced = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         payload = {"versions": versions(), "regenerate": REGENERATE,
                    "digests": all_digests(Path(tmp))}
+    if replaced.get("versions") != payload["versions"]:
+        print(f"versions: {replaced.get('versions')} -> {payload['versions']}")
+    for case, digests in payload["digests"].items():
+        old = replaced.get("digests", {}).get(case, {})
+        changed = [name for name, digest in digests.items() if old.get(name) != digest]
+        print(f"{case}: {'changed ' + ', '.join(changed) if changed else 'unchanged'}")
     GOLDEN.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {GOLDEN}")

@@ -2,10 +2,14 @@
 
 import contextlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,48 @@ class TestSigmoid:
     def test_strictly_increasing(self):
         xs = np.linspace(-20, 20, 2001)
         assert np.all(np.diff(sigmoid(xs)) > 0)
+
+    def test_within_3_ulp_of_long_double(self):
+        if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+            pytest.skip("np.longdouble is no wider than float64 here")
+        xs = np.linspace(-40.0, 40.0, 10**6)
+        wide = xs.astype(np.longdouble)
+        reference = 1 / (1 + np.exp(-wide))
+        ulps = np.abs(sigmoid(xs) - reference) / np.spacing(reference.astype(np.float64))
+        assert ulps.max() <= 3.0
+
+    def test_extremes_are_exact_and_silent(self):
+        xs = np.array([800.0, -800.0, np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(xs)
+            scalars = [sigmoid(x) for x in (800.0, -800.0, np.inf, -np.inf)]
+        np.testing.assert_array_equal(out, [1.0, 0.0, 1.0, 0.0, np.nan])
+        assert scalars == [1.0, 0.0, 1.0, 0.0]
+
+    def test_out_may_alias_the_input(self):
+        xs = np.linspace(-30.0, 30.0, 101)
+        expected = sigmoid(xs)
+        out = np.empty_like(xs)
+        assert sigmoid(xs, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        assert sigmoid(xs, out=xs) is xs
+        np.testing.assert_array_equal(xs, expected)
+
+    def test_python_float_gives_a_scalar(self):
+        value = sigmoid(0.0)
+        assert not isinstance(value, np.ndarray) and value == 0.5
+        assert np.ndim(sigmoid(-1.5)) == 0
+
+    def test_cli_import_leaves_out_scipy_special(self):
+        root = Path(__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, bpmf.cli; print('scipy.special' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
 
 
 def normalized(ratings, scale):

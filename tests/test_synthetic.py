@@ -108,6 +108,22 @@ def test_dense_request_fills_the_matrix(shape):
     assert out.split() == [str(n_ratings), "1", str(n_users), "1", str(n_items)]
 
 
+# the greedy trim once stranded a surplus on some of these ((5, 4, 5), (5, 5, 5),
+# (10, 10, 10) and (10, 10, 11)) and raised RuntimeError
+def test_every_feasible_count_returns():
+    shapes = [(n_users, n_items, n_ratings)
+              for n_users in range(1, 6) for n_items in range(1, 6)
+              for n_ratings in range(max(n_users, n_items), n_users * n_items + 1)]
+    shapes += [(10, 10, 10), (10, 10, 11)]
+    out = in_child(f"for n_users, n_items, n_ratings in {shapes}:\n"
+                   f"    u, m, r = synthesize_ratings(n_users, n_items, n_ratings)\n"
+                   f"    print(len(u), len({{*zip(u.tolist(), m.tolist())}}),\n"
+                   f"          sorted({{*u.tolist()}}) == list(range(1, n_users + 1)),\n"
+                   f"          sorted({{*m.tolist()}}) == list(range(1, n_items + 1)))")
+    expected = [f"{n_ratings} {n_ratings} True True" for _, _, n_ratings in shapes]
+    assert out.splitlines() == expected
+
+
 # fewer ratings than users or than movies, or more than there are pairs
 @pytest.mark.parametrize("shape", [(5, 400, 300), (400, 5, 300), (10, 10, 101)])
 def test_impossible_request_is_a_value_error(shape):
