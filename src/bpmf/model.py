@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import BpmfError
 
@@ -22,7 +21,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # gathered elements per side in a row_dots block: two float64 blocks (512 KB) fit in L2
 BLOCK_ELEMENTS = 32768
 # random numbers per call below which handing a call to a worker thread costs more
-# than it overlaps (on 2 cores, a rowwise sweep loses at 9,900 numbers, gains at 33,000)
+# than it overlaps (on 2 vCPUs a rowwise sweep loses at 9,900 numbers; from 100,000 up,
+# MCMC and VI `bpmf run`s trained 0-22% faster with the worker, varying between batches)
 PREFETCH_MIN_SIZE = 20_000
 
 
@@ -120,13 +120,19 @@ def sigmoid(x, out=None):
     """Logistic function ``1 / (1 + exp(-x))`` in float64, elementwise, computed in
     place in ``out`` (which may be ``x``) or in one new array; a scalar gives a
     scalar. Below x = -709, exp(-x) overflows to inf, which gives exactly 0."""
-    with np.errstate(over="ignore"):
-        out = np.negative(x, out=out, dtype=np.float64)
-        if not isinstance(out, np.ndarray):
-            return 1.0 / (1.0 + np.exp(out))
-        np.exp(out, out=out)
-        np.add(out, 1.0, out=out)
-        return np.divide(1.0, out, out=out)
+    if isinstance(x, np.ndarray) and not x.size:  # no ratings: skip the ufuncs' fixed cost
+        return np.empty(x.shape) if out is None else out
+    return _logistic(x, out)
+
+
+@np.errstate(over="ignore")  # a decorator costs half of what a with block costs per call
+def _logistic(x, out):
+    out = np.negative(x, out, dtype=np.float64)
+    if not isinstance(out, np.ndarray):
+        return 1.0 / (1.0 + np.exp(out))
+    np.exp(out, out)
+    np.add(out, 1.0, out)
+    return np.reciprocal(out, out)
 
 
 def denormalize_rating(r_star, scale: RatingScale):
@@ -201,6 +207,8 @@ def rating_patterns(data: RatingDataset):
     A training loop builds its own pair once. Its scatters leave their last weights
     there, which keeps VI's heap top between epochs (freeing them at once gave 19x
     the page faults, VI 14% slower), and those weights are freed with the loop."""
+    from scipy import sparse  # imported here: MCMC and the data layer never scatter
+
     by_user = sparse.coo_matrix((data.rating, (data.user_idx, data.item_idx)),
                                 shape=(data.n_users, data.n_items))
     by_item = sparse.coo_matrix((data.rating, (by_user.col, by_user.row)),
