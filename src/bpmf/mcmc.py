@@ -41,7 +41,6 @@ from .model import (
     RatingDataset,
     dot_buffers,
     log_joint,
-    prefetched,
     rating_residuals,
 )
 
@@ -195,7 +194,6 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
             return noise
 
         def draw():  # one sweep's random numbers, in the order rowwise_sweep documents
-            # errstate is per thread, so it is set here, where prefetched runs the draw;
             # a std near the float limit overflows to inf, which the sweep reports
             with np.errstate(over="ignore"):
                 return (scaled_normal(size_u), rng.random(data.n_users),
@@ -207,14 +205,13 @@ def run_chain(data: RatingDataset, hp: ModelHyperparams, cfg: McmcConfig,
             return rng.normal(0.0, std, size_u), rng.normal(0.0, std, size_v), rng.uniform()
 
     energies, accepted = [], []
-    with prefetched(draw, cfg.n_steps, (data.n_users + data.n_items) * (hp.k + 1)) as steps:
-        for t, draws in enumerate(steps):
-            try:  # a step raises ValueError only from the finite check on its proposal
-                acc, log_g = step(state, data, hp, draws, log_g)
-            except ValueError:
-                raise DivergenceError("proposal overflowed (reduce proposal_std)", t) from None
-            energies.append(log_g)
-            accepted.append(acc)
-            if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
-                on_sample(state)
+    for t in range(cfg.n_steps):
+        try:  # a step raises ValueError only from the finite check on its proposal
+            acc, log_g = step(state, data, hp, draw(), log_g)
+        except ValueError:
+            raise DivergenceError("proposal overflowed (reduce proposal_std)", t) from None
+        energies.append(log_g)
+        accepted.append(acc)
+        if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
+            on_sample(state)
     return ChainTrace(energies=np.array(energies), accepted=np.array(accepted))

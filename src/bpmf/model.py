@@ -9,8 +9,6 @@ densities are exact. Besides pure functions, this holds
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +18,6 @@ from .errors import BpmfError
 LOG_2PI = float(np.log(2.0 * np.pi))
 # gathered elements per side in a row_dots block: two float64 blocks (512 KB) fit in L2
 BLOCK_ELEMENTS = 32768
-# random numbers per call below which handing a call to a worker thread costs more
-# than it overlaps (on 2 vCPUs a rowwise sweep loses at 9,900 numbers; from 100,000 up,
-# MCMC and VI `bpmf run`s trained 0-22% faster with the worker, varying between batches)
-PREFETCH_MIN_SIZE = 20_000
 
 
 @dataclass(frozen=True)
@@ -149,26 +143,6 @@ def dot_buffers(n: int, k: int):
     ``max(1, min(n, BLOCK_ELEMENTS // k))`` rows and n dots."""
     rows = max(1, min(n, BLOCK_ELEMENTS // k))
     return np.empty((rows, k)), np.empty((rows, k)), np.empty(n)
-
-
-@contextmanager
-def prefetched(draw, count, size):
-    """An iterator over ``count`` calls of ``draw``, each of which draws ``size``
-    random numbers. From PREFETCH_MIN_SIZE numbers up, each call runs on one
-    worker thread while the caller uses the one before, never more than one
-    call ahead, and the worker is joined when the ``with`` block exits, by
-    return or raise; a smaller call runs on the caller's thread when it is due."""
-    if size < PREFETCH_MIN_SIZE:
-        yield (draw() for _ in range(count))
-        return
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        def results():
-            ahead = worker.submit(draw) if count else None
-            for i in range(count):
-                value = ahead.result()  # raises what draw raised, on this thread
-                ahead = worker.submit(draw) if i + 1 < count else None
-                yield value
-        yield results()
 
 
 def row_dots(a, b, a_idx, b_idx, buffers=None):

@@ -23,7 +23,6 @@ from .model import (
     denormalize_rating,
     dot_buffers,
     log_likelihood_sum,
-    prefetched,
     rating_patterns,
     residual_log_likelihood,
     row_dots,
@@ -172,10 +171,10 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     """Fixed-rate gradient ascent on the ELBO; returns (params, elbo trace).
 
     Gradients use fresh noise every epoch, drawn from one seeded generator
-    in epoch order (see :func:`bpmf.model.prefetched`); the per-epoch
-    trace entry is recorded with the same fixed monitoring noise each time
-    (common random numbers), so trace movement reflects parameter movement
-    rather than estimator jitter. Fully deterministic given the seed.
+    in epoch order; the per-epoch trace entry is recorded with the same
+    fixed monitoring noise each time (common random numbers), so trace
+    movement reflects parameter movement rather than estimator jitter.
+    Fully deterministic given the seed.
     """
     params = init_params(data.n_users, data.n_items, hp.k, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -183,11 +182,10 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     monitor = draw_noise(params, 1, np.random.default_rng(cfg.seed + 2))
     buffers, patterns = dot_buffers(data.n_ratings, hp.k), rating_patterns(data)
     trace = []
-    size = cfg.mc_samples * (params.mu_u.size + params.mu_v.size)
     # overflow here is reported as a divergence error, not a warning
-    with (prefetched(lambda: draw_noise(params, cfg.mc_samples, rng), cfg.epochs, size) as draws,
-          np.errstate(over="ignore", invalid="ignore")):
-        for epoch, noise in enumerate(draws):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            noise = draw_noise(params, cfg.mc_samples, rng)
             value, grad = elbo_with_noise(params, data, hp, noise, buffers, patterns)
             if not np.isfinite(value):
                 raise DivergenceError("ELBO became non-finite (reduce learning_rate)", epoch)
@@ -215,8 +213,7 @@ def vi_predict_batch(params: VariationalParams, user_idx, item_idx, scale: Ratin
     rng = np.random.default_rng(0)
     s_u, s_v = np.exp(params.log_s_u), np.exp(params.log_s_v)
     mean = PosteriorMean(user_idx, item_idx)
-    with prefetched(lambda: draw_noise(params, 1, rng), PREDICT_SAMPLES,
-                    params.mu_u.size + params.mu_v.size) as draws:
-        for [(eps_u, eps_v)] in draws:
-            mean.add(LatentState(params.mu_u + s_u * eps_u, params.mu_v + s_v * eps_v))
+    for _ in range(PREDICT_SAMPLES):
+        [(eps_u, eps_v)] = draw_noise(params, 1, rng)
+        mean.add(LatentState(params.mu_u + s_u * eps_u, params.mu_v + s_v * eps_v))
     return mean.ratings(scale)

@@ -36,7 +36,6 @@ from bpmf.baseline import MfConfig
 from bpmf.data import build_dataset, load_ratings
 from bpmf.evaluate import ExperimentConfig, run_experiment
 from bpmf.mcmc import McmcConfig
-from bpmf.model import PREFETCH_MIN_SIZE
 from bpmf.synthetic import write_ratings_csv
 from bpmf.vi import ViConfig
 
@@ -46,7 +45,7 @@ K = 10
 
 # file name -> write_ratings_csv arguments (users, items, ratings, seed)
 ENGINE_FILES = {"small": (60, 120, 2_000, 11), "large": (600, 1_400, 5_000, 12)}
-# case -> (file, engine, config); "mcmc-rowwise-worker" draws on prefetched's worker thread
+# case -> (file, engine, config); "mcmc-rowwise-worker" is the rowwise chain on the large file
 ENGINE_CASES = {
     "vi": ("small", "vi", ViConfig(epochs=100)),
     "mf": ("small", "mf", MfConfig(alpha=0.01, epochs=100)),
@@ -184,11 +183,6 @@ def test_another_exp_kernel_fails_naming_both(monkeypatch):
     with pytest.raises(pytest.fail.Exception,
                        match=f"numpy_exp_kernel {made_with} in the file, another-kernel here"):
         recorded_digests()
-
-
-def test_worker_case_draws_on_the_worker():
-    n_users, n_items, _, _ = ENGINE_FILES[ENGINE_CASES["mcmc-rowwise-worker"][0]]
-    assert (n_users + n_items) * (K + 1) >= PREFETCH_MIN_SIZE
 
 
 @pytest.mark.parametrize("case", ENGINE_CASES)

@@ -1,7 +1,9 @@
-"""Which runs load scipy. Only VI's and MF's scatters (``model.rating_patterns``)
-use it, so importing bpmf and running the chain load none of it, and
-``run_experiment`` loads ``scipy.sparse`` for VI and MF before its clock starts.
-Each check runs in a fresh interpreter, since this one has scipy loaded already."""
+"""Which runs load scipy, a thread pool or logging. Only VI's and MF's scatters
+(``model.rating_patterns``) use scipy, so importing bpmf and running the chain load
+none of it, and ``run_experiment`` loads ``scipy.sparse`` for VI and MF before its
+clock starts. No engine starts a thread, so importing bpmf and running the chain
+load no ``concurrent.futures`` and no ``logging`` (``scipy.sparse`` loads both).
+Each check runs in a fresh interpreter, since this one has all of them loaded already."""
 
 import json
 import os
@@ -15,15 +17,17 @@ from bpmf.synthetic import write_ratings_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the child's code, then the scipy modules it ended with, as JSON on its last line
-REPORT = "\nimport json\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+# ends the child's code: the loaded modules of the families formatted in, as JSON on its last line
+REPORT = "\nimport json\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {})))"
 
 
-def scipy_modules_after(code, *argv):
+def modules_after(code, *argv, families=("scipy",)):
     """Run ``code`` in a new interpreter with ``argv`` as its arguments; return the
-    scipy modules loaded when it ended, and its stdout before them."""
+    loaded modules whose top-level package is one of ``families`` when it ended,
+    and its stdout before them."""
+    report = REPORT.format(sorted(families))
     result = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + code + REPORT, *map(str, argv)],
+        [sys.executable, "-c", "import sys\n" + code + report, *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=120,
     )
@@ -40,13 +44,24 @@ def small_csv(tmp_path_factory):
 
 @pytest.mark.parametrize("module", ["bpmf", "bpmf.cli", "bpmf.data", "bpmf.mcmc", "bpmf.vi"])
 def test_import_loads_no_scipy(module):
-    assert scipy_modules_after(f"import {module}")[0] == []
+    assert modules_after(f"import {module}")[0] == []
+
+
+def mcmc_run(csv, out):
+    """A child's code and arguments for a 50-sweep MCMC ``bpmf run`` on ``csv``."""
+    return ("import bpmf.cli\nassert bpmf.cli.main(sys.argv[1:]) == 0",
+            "run", "--engine", "mcmc", "--n-steps", 50, "--data", csv, "--out", out)
 
 
 def test_mcmc_run_loads_no_scipy(small_csv, tmp_path):
-    code = "import bpmf.cli\nassert bpmf.cli.main(sys.argv[1:]) == 0"
-    argv = ["run", "--engine", "mcmc", "--n-steps", 50, "--data", small_csv, "--out", tmp_path]
-    assert scipy_modules_after(code, *argv)[0] == []
+    assert modules_after(*mcmc_run(small_csv, tmp_path))[0] == []
+
+
+@pytest.mark.parametrize("case", ["bpmf", "bpmf.cli", "mcmc-run"])
+def test_loads_no_thread_pool_or_logging(case, small_csv, tmp_path):
+    # VI and MF runs load both through scipy.sparse, so they are not checked
+    child = mcmc_run(small_csv, tmp_path) if case == "mcmc-run" else (f"import {case}",)
+    assert modules_after(*child, families=("concurrent", "logging"))[0] == []
 
 
 @pytest.mark.parametrize("engine, trainer", [("vi", "vi_train"), ("mf", "mf_train")])
@@ -62,6 +77,6 @@ evaluate.{trainer} = spy
 assert cli.main(sys.argv[1:]) == 0
 """
     argv = ["run", "--engine", engine, "--epochs", 3, "--data", small_csv, "--out", tmp_path]
-    loaded, printed = scipy_modules_after(code, *argv)
+    loaded, printed = modules_after(code, *argv)
     assert "True" in printed and "False" not in printed
     assert "scipy.sparse" in loaded

@@ -3,6 +3,7 @@ chain mechanics, determinism, and prior-sampling sanity."""
 
 import copy
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -171,6 +172,12 @@ class TestMhStep:
         trace = run_chain(tiny_dataset, hp, cfg, lambda state: None)
         assert 0.05 < trace.acceptance_rate < 0.95
 
+    def test_non_finite_proposal_raises(self, tiny_dataset):
+        cfg = joint(n_steps=5, burn_in=0, proposal_std=1e308)
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
+            run_chain(tiny_dataset, ModelHyperparams(1, 0.1), cfg, lambda state: None)
+        assert 0 <= err.value.epoch < cfg.n_steps
+
 
 class TestRunChain:
     def test_retained_sample_count(self, tiny_dataset):
@@ -197,42 +204,42 @@ class TestRunChain:
         np.testing.assert_array_equal(a.energies, b.energies)
         np.testing.assert_array_equal(a.accepted, b.accepted)
 
-    def test_chain_length_is_not_an_allocation(self, tiny_dataset, monkeypatch):
-        # a chain too long for any array runs until something stops it
+    def test_chain_length_is_not_an_allocation(self, monkeypatch):
+        # a chain too long for any array runs until something stops it, drawing
+        # each sweep's numbers (two uniform arrays among them) on this thread when due
         class Stop(Exception):
             pass
 
-        sweep, prefetched = mcmc.rowwise_sweep, mcmc.prefetched
-        calls, draws = [], []
+        default_rng, sweep = np.random.default_rng, mcmc.rowwise_sweep
+        rngs, calls, threads = [], [], threading.active_count()
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.inner, self.uniform_calls = default_rng(seed), 0
+                rngs.append(self)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+            def random(self, size):
+                self.uniform_calls += 1
+                return self.inner.random(size)
 
         def three_sweeps(*args, **kwargs):
             calls.append(None)
+            assert [rng.uniform_calls for rng in rngs] == [2 * len(calls)]
+            assert threading.active_count() == threads
             if len(calls) > 3:
                 raise Stop
             return sweep(*args, **kwargs)
 
-        def counted(draw, count, size):
-            def counted_draw():
-                draws.append(None)
-                return draw()
-            return prefetched(counted_draw, count, size)
-
+        data = make_dataset(400, 600, 3000)
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
         monkeypatch.setattr(mcmc, "rowwise_sweep", three_sweeps)
-        monkeypatch.setattr(mcmc, "prefetched", counted)
         cfg = McmcConfig(n_steps=10**30, burn_in=0, proposal="rowwise", proposal_std=0.5)
-        # sweeps drawn on the caller's thread, then on the worker (21,000 numbers a sweep)
-        for data, hp in ((tiny_dataset, ModelHyperparams(1, 0.1)),
-                         (make_dataset(400, 600, 3000), ModelHyperparams(20, 0.25))):
-            calls.clear()
-            draws.clear()
-            threads = threading.active_count()
-            with pytest.raises(Stop) as stopped:
-                run_chain(data, hp, cfg, lambda state: None)
-            assert len(calls) == 4
-            # drawn at most one sweep ahead, and the worker is gone although
-            # the traceback still holds run_chain's frame
-            assert len(draws) <= len(calls) + 1
-            assert stopped.traceback and threading.active_count() == threads
+        with pytest.raises(Stop):
+            run_chain(data, ModelHyperparams(20, 0.25), cfg, lambda state: None)
+        assert len(calls) == 4 and threading.active_count() == threads
 
     def test_energies_always_finite(self, tiny_dataset):
         hp = ModelHyperparams(1, 0.1)
@@ -507,6 +514,53 @@ class TestStreamedPosteriorMean:
                 total += sigmoid(row_dots(state.u, state.v, part.user_idx, part.item_idx))
             reference = denormalize_rating(total / len(kept_states), data.scale)
             assert np.array_equal(mean.ratings(data.scale), reference)
+
+
+def serial_chain(data, hp, cfg):
+    """``run_chain`` written out: each step draws its own random numbers, in
+    the documented order, just before it runs, and every retained state is copied."""
+    rng = np.random.default_rng(cfg.seed)
+    state = LatentState(rng.normal(0.0, 1.0, size=(data.n_users, hp.k)),
+                        rng.normal(0.0, 1.0, size=(data.n_items, hp.k)))
+    log_g = log_joint(state, data, hp)
+    if cfg.proposal == "rowwise":
+        sq_resid = rating_residuals(state.u, state.v, data.user_idx, data.item_idx, data.rating) ** 2
+        step = partial(rowwise_sweep, sq_resid=sq_resid, buffers=dot_buffers(data.n_ratings, hp.k))
+        draw = rowwise_draws
+    else:
+        step, draw = mh_step, joint_draws
+    energies, accepted, kept = [], [], []
+    for t in range(cfg.n_steps):
+        acc, log_g = step(state, data, hp, draw(rng, cfg.proposal_std, state), log_g)
+        energies.append(log_g)
+        accepted.append(acc)
+        if t >= cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
+            kept.append(copy.deepcopy(state))
+    return np.array(energies), np.array(accepted), kept
+
+
+# a large chain step at k=20 draws 21,000 numbers
+SMALL, LARGE = make_dataset(12, 15, 60, seed=4), make_dataset(400, 600, 3000, seed=0)
+
+
+@pytest.mark.parametrize("data, hp, cfg", [
+    (SMALL, ModelHyperparams(3, 0.25),
+     joint(n_steps=300, burn_in=100, thin=7, proposal_std=0.05, seed=2)),
+    (SMALL, ModelHyperparams(3, 0.25), rowwise(n_steps=120, burn_in=40, thin=3, seed=2)),
+    (LARGE, ModelHyperparams(20, 0.25),
+     joint(n_steps=60, burn_in=20, thin=7, proposal_std=0.003, seed=2)),
+    (LARGE, ModelHyperparams(20, 0.25), rowwise(n_steps=30, burn_in=10, thin=3, seed=2)),
+], ids=["joint", "rowwise", "joint-large", "rowwise-large"])
+def test_chain_matches_serial_reference(data, hp, cfg):
+    kept = []
+    trace = run_chain(data, hp, cfg, lambda state: kept.append(copy.deepcopy(state)))
+    energies, accepted, expected = serial_chain(data, hp, cfg)
+    assert np.array_equal(trace.energies, energies)
+    assert np.array_equal(trace.accepted, accepted)
+    assert 0 < trace.acceptance_rate < 1
+    assert len(kept) == len(expected) > 1
+    for got, want in zip(kept, expected):
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
 
 class TestConfigValidation:

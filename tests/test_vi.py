@@ -281,6 +281,52 @@ class TestViPredict:
             vi_predict_batch(params, ii, jj, RatingScale(5))
 
 
+def serial_vi_train(data, hp, cfg):
+    """``vi_train`` written out: each epoch draws its noise just before it runs."""
+    params = init_params(data.n_users, data.n_items, hp.k, cfg)
+    rng = np.random.default_rng(cfg.seed + 1)
+    monitor = draw_noise(params, 1, np.random.default_rng(cfg.seed + 2))
+    buffers, patterns = dot_buffers(data.n_ratings, hp.k), rating_patterns(data)
+    trace = []
+    for _ in range(cfg.epochs):
+        _, grad = elbo_with_noise(params, data, hp, draw_noise(params, cfg.mc_samples, rng),
+                                  buffers, patterns)
+        params.mu_u += cfg.learning_rate * grad.mu_u
+        params.log_s_u += cfg.learning_rate * grad.log_s_u
+        params.mu_v += cfg.learning_rate * grad.mu_v
+        params.log_s_v += cfg.learning_rate * grad.log_s_v
+        trace.append(elbo_value_with_noise(params, data, hp, monitor, buffers))
+    return params, trace
+
+
+# 1,000 rows: an epoch at k=10 with 2 samples draws 20,000 numbers, as does a k=20 prediction draw
+LARGE = make_dataset(400, 600, 3000, seed=0)
+
+
+@pytest.mark.parametrize("data, k", [(make_dataset(12, 15, 60, seed=4), 3), (LARGE, 10)],
+                         ids=["small", "large"])
+def test_vi_train_matches_serial_reference(data, k):
+    hp = ModelHyperparams(k, 0.25)
+    cfg = ViConfig(learning_rate=0.05, epochs=20, mc_samples=2, seed=5)
+    params, trace = vi_train(data, hp, cfg)
+    expected, expected_trace = serial_vi_train(data, hp, cfg)
+    assert np.array_equal(trace, expected_trace)
+    for name in ("mu_u", "log_s_u", "mu_v", "log_s_v"):
+        assert np.array_equal(getattr(params, name), getattr(expected, name))
+
+
+def test_vi_predict_batch_matches_serial_reference():
+    params = init_params(LARGE.n_users, LARGE.n_items, 20, ViConfig(seed=3))
+    ii, jj = LARGE.user_idx, LARGE.item_idx
+    rng = np.random.default_rng(0)
+    mean = PosteriorMean(ii, jj)
+    for _ in range(PREDICT_SAMPLES):
+        [(eps_u, eps_v)] = draw_noise(params, 1, rng)
+        mean.add(LatentState(params.mu_u + np.exp(params.log_s_u) * eps_u,
+                             params.mu_v + np.exp(params.log_s_v) * eps_v))
+    assert np.array_equal(vi_predict_batch(params, ii, jj, LARGE.scale), mean.ratings(LARGE.scale))
+
+
 class TestConfigValidation:
     def test_learning_rate_positive(self):
         with pytest.raises(ValueError):
