@@ -17,7 +17,6 @@ import os
 import stat
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -50,11 +49,11 @@ class SplitDataset:
     maps: tuple[np.ndarray, np.ndarray] | None = None  # build_dataset's ID arrays, as given
 
 
-def load_ratings(source):
+def load_ratings(path):
     """Parse a ratings CSV; returns ((user_ids, movie_ids, ratings), RatingScale).
 
-    ``source`` may be a path or an open text stream; a path may start
-    with a UTF-8 byte-order mark. The three columns are int64, int64 and
+    ``path`` is a path (str or os.PathLike); the file may start with a
+    UTF-8 byte-order mark. The three columns are int64, int64 and
     float64 arrays in file order. Every rating must lie in (0, 10] on
     the half-star grid (twice the rating is an integer). The scale is
     detected from the data: r_max = max(2, ceil(max rating)) and
@@ -66,14 +65,10 @@ def load_ratings(source):
     rule, go through the row loop, which raises ``DataFormatError`` with
     the line number of the first offending row.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            opened = os.fstat(fh.fileno())
-            data = fh.read().removeprefix(codecs.BOM_UTF8)
-        columns = _parse_columns(data, os.path.abspath(source), opened)
-    else:
-        data = source.read().encode("utf-8")
-        columns = _parse_columns(data)
+    with open(path, "rb") as fh:
+        opened = os.fstat(fh.fileno())
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    columns = _parse_columns(data, os.path.abspath(path), opened)
     if columns is None:
         columns = _parse_rows(_decode(data))
     return columns, _detect_scale(columns[2])
@@ -97,8 +92,8 @@ def _decode(data: bytes) -> str:
 def _parse_columns(data: bytes, path=None, opened=None):
     """Whole-column parse; None when the file needs the row loop. The checks run
     on ``data``; numpy reads a regular file ``path`` itself, in chunks, if its stat
-    still equals ``opened`` after. Streams, pipes and names numpy would decompress
-    are parsed from ``data``."""
+    still equals ``opened`` after. Pipes and names numpy would decompress are
+    parsed from ``data``."""
     header = next((h for h in _FAST_HEADERS if data.startswith(h)), None)
     # the body is checked in place: only the header's own letters may survive the translation
     if (header is None or data.translate(None, _FAST_BYTES) != header.translate(None, _FAST_BYTES)

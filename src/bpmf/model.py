@@ -110,17 +110,11 @@ class ModelHyperparams:
             raise ValueError("sigma2 must be positive, with 2 * pi * sigma2 and 1 / sigma2 finite")
 
 
+@np.errstate(over="ignore")  # a decorator costs half of what a with block costs per call
 def sigmoid(x, out=None):
     """Logistic function ``1 / (1 + exp(-x))`` in float64, elementwise, computed in
     place in ``out`` (which may be ``x``) or in one new array; a scalar gives a
     scalar. Below x = -709, exp(-x) overflows to inf, which gives exactly 0."""
-    if isinstance(x, np.ndarray) and not x.size:  # no ratings: skip the ufuncs' fixed cost
-        return np.empty(x.shape) if out is None else out
-    return _logistic(x, out)
-
-
-@np.errstate(over="ignore")  # a decorator costs half of what a with block costs per call
-def _logistic(x, out):
     out = np.negative(x, out, dtype=np.float64)
     if not isinstance(out, np.ndarray):
         return 1.0 / (1.0 + np.exp(out))

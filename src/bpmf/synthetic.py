@@ -18,6 +18,7 @@ from .model import row_dots
 ML_SMALL_USERS = 610
 ML_SMALL_MOVIES = 9_724
 ML_SMALL_RATINGS = 100_836
+LATENT_DIM = 4  # rank of the generated interaction
 
 
 def _sample_pairs(rng, n_users, n_items, n_ratings):
@@ -90,10 +91,10 @@ def _sample_pairs(rng, n_users, n_items, n_ratings):
 
 
 def synthesize_ratings(n_users=ML_SMALL_USERS, n_items=ML_SMALL_MOVIES,
-                       n_ratings=ML_SMALL_RATINGS, latent_dim=4, seed=20240):
+                       n_ratings=ML_SMALL_RATINGS, seed=20240):
     """Draw (user_ids, movie_ids, ratings) arrays; IDs are 1-based.
 
-    Ratings come from user/item biases plus a rank-``latent_dim``
+    Ratings come from user/item biases plus a rank-``LATENT_DIM``
     interaction pushed through a sigmoid, with observation noise, then
     rounded to the nearest half star in [0.5, 5.0].
     """
@@ -102,12 +103,12 @@ def synthesize_ratings(n_users=ML_SMALL_USERS, n_items=ML_SMALL_MOVIES,
 
     user_bias = rng.normal(0.0, 0.5, n_users)
     item_bias = rng.normal(0.0, 1.2, n_items)
-    u = rng.normal(0.0, 1.0, (n_users, latent_dim))
-    v = rng.normal(0.0, 1.0, (n_items, latent_dim))
+    u = rng.normal(0.0, 1.0, (n_users, LATENT_DIM))
+    v = rng.normal(0.0, 1.0, (n_items, LATENT_DIM))
     logit = (
         user_bias[uu]
         + item_bias[mm]
-        + row_dots(u, v, uu, mm) / np.sqrt(latent_dim)
+        + row_dots(u, v, uu, mm) / np.sqrt(LATENT_DIM)
     )
     value = 0.5 + 4.5 / (1.0 + np.exp(-logit)) + rng.normal(0.0, 0.35, uu.size)
     rating = np.clip(np.round(value * 2.0) / 2.0, 0.5, 5.0)
@@ -115,11 +116,9 @@ def synthesize_ratings(n_users=ML_SMALL_USERS, n_items=ML_SMALL_MOVIES,
 
 
 def write_ratings_csv(path, n_users=ML_SMALL_USERS, n_items=ML_SMALL_MOVIES,
-                      n_ratings=ML_SMALL_RATINGS, latent_dim=4, seed=20240):
+                      n_ratings=ML_SMALL_RATINGS, seed=20240):
     """Write a MovieLens-format ratings.csv; returns the path."""
-    user_ids, movie_ids, ratings = synthesize_ratings(
-        n_users, n_items, n_ratings, latent_dim, seed
-    )
+    user_ids, movie_ids, ratings = synthesize_ratings(n_users, n_items, n_ratings, seed)
     rng = np.random.default_rng(seed + 1)
     timestamps = rng.integers(900_000_000, 1_600_000_000, user_ids.size)
     with open(path, "w", newline="") as fh:

@@ -76,10 +76,7 @@ class ViConfig:
 
 def kl_gaussian_vs_standard(mu, log_s):
     """KL(N(mu, sigma^2) || N(0, 1)) elementwise: (sigma^2 + mu^2 - 1 - 2 log sigma)/2."""
-    mu = np.asarray(mu, dtype=np.float64)
-    log_s = np.asarray(log_s, dtype=np.float64)
-    out = 0.5 * (np.exp(2.0 * log_s) + mu**2 - 1.0 - 2.0 * log_s)
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * (np.exp(2.0 * log_s) + mu**2 - 1.0 - 2.0 * log_s)
 
 
 def _total_kl(params: VariationalParams) -> float:

@@ -9,12 +9,16 @@ regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
-and says which digests moved and why; ``--regenerate`` prints, per case,
-the digests that differ from the file it replaces. The digests hold for the
-numpy and scipy versions recorded in the file, and for the float64 ``exp``
-kernel numpy dispatched (on x86, X86_V4, X86_V3 or a baseline one, picked by
-the CPU): the sigmoid's last bits follow that kernel. Under another version
-or kernel the test fails and names both, since either may move the last bits.
+and says which digests moved and why. The sigmoid's last bits follow the
+float64 ``exp`` kernel numpy dispatches (on x86, X86_V4, X86_V3 or a
+baseline one, picked by the CPU), so ``--regenerate`` computes the digests
+in one child interpreter per entry of ``KERNEL_FAMILIES``. A digest on which
+every kernel agrees goes in the shared set; the others are recorded per
+kernel, and the script prints which cases differ between kernels and, per
+case, the digests that differ from the file it replaces. Under a kernel the
+file does not record, the cases with per-kernel digests fail and name the
+kernels; under other numpy or scipy versions every case fails, since
+either may move the last bits.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from __future__ import annotations
 import codecs
 import hashlib
 import json
+import os
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -39,19 +46,23 @@ from bpmf.mcmc import McmcConfig
 from bpmf.synthetic import write_ratings_csv
 from bpmf.vi import ViConfig
 
-GOLDEN = Path(__file__).resolve().parent / "golden.json"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden.json"
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py --regenerate"
 K = 10
+# NPY_DISABLE_CPU_FEATURES of each --regenerate child: on an x86 CPU with AVX-512,
+# numpy then dispatches the X86_V4, X86_V3 and baseline exp kernels
+KERNEL_FAMILIES = ("", "X86_V4", "X86_V4 X86_V3")
 
 # file name -> write_ratings_csv arguments (users, items, ratings, seed)
 ENGINE_FILES = {"small": (60, 120, 2_000, 11), "large": (600, 1_400, 5_000, 12)}
-# case -> (file, engine, config); "mcmc-rowwise-worker" is the rowwise chain on the large file
+# case -> (file, engine, config)
 ENGINE_CASES = {
     "vi": ("small", "vi", ViConfig(epochs=100)),
     "mf": ("small", "mf", MfConfig(alpha=0.01, epochs=100)),
     "mcmc-rowwise": ("small", "mcmc", McmcConfig(n_steps=400)),
     "mcmc-joint": ("small", "mcmc", McmcConfig(n_steps=400, proposal="joint", proposal_std=0.01)),
-    "mcmc-rowwise-worker": ("large", "mcmc", McmcConfig(n_steps=30)),
+    "mcmc-rowwise-large": ("large", "mcmc", McmcConfig(n_steps=30)),
 }
 
 HEADER = "userId,movieId,rating,timestamp"
@@ -139,7 +150,7 @@ def exp_kernel() -> str:
 
 
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "numpy_exp_kernel": exp_kernel()}
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def all_digests(directory: Path) -> dict:
@@ -149,18 +160,79 @@ def all_digests(directory: Path) -> dict:
     }
 
 
+def child_digests(disabled: str) -> dict:
+    """versions, exp kernel and all digests from a new interpreter run with
+    ``NPY_DISABLE_CPU_FEATURES=disabled``."""
+    result = subprocess.run(
+        [sys.executable, __file__, "--digests"],
+        env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+                 PYTHONPATH=str(TESTS.parent / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def made_elsewhere(moved: str):
+    pytest.fail(f"tests/golden.json was made elsewhere: {moved}; "
+                f"check the change, then regenerate with: {REGENERATE}")
+
+
 def recorded_digests() -> dict:
-    """The digests in golden.json; fails, naming each entry that differs, when
-    the file was made under other library versions or another exp kernel."""
+    """golden.json; fails, naming each version that differs, when the file was
+    made under other numpy or scipy versions."""
     recorded = json.loads(GOLDEN.read_text())
     made_with, here = recorded["versions"], versions()
     if made_with != here:
-        moved = "; ".join(f"{name} {made_with.get(name)} in the file, {here.get(name)} here"
-                          for name in sorted({*made_with, *here})
-                          if made_with.get(name) != here.get(name))
-        pytest.fail(f"tests/golden.json was made elsewhere: {moved}; "
-                    f"check the change, then regenerate with: {REGENERATE}")
-    return recorded["digests"]
+        made_elsewhere("; ".join(f"{name} {made_with.get(name)} in the file, {here.get(name)} here"
+                                 for name in sorted({*made_with, *here})
+                                 if made_with.get(name) != here.get(name)))
+    return recorded
+
+
+def kernel_dependent(recorded: dict) -> set:
+    """The cases with digests of their own under some kernel in ``recorded``."""
+    return {case for digests in recorded.get("digests_by_exp_kernel", {}).values()
+            for case in digests}
+
+
+def expected_digests(recorded: dict, kernel: str) -> dict:
+    """case -> the digests ``recorded`` holds for ``kernel``: the shared set with
+    the kernel's own digests over it. A kernel-dependent case is left out when
+    no digests are recorded for ``kernel``."""
+    shared = recorded.get("digests", {})
+    dependent = kernel_dependent(recorded)
+    expected = {case: digests for case, digests in shared.items() if case not in dependent}
+    for case, digests in recorded.get("digests_by_exp_kernel", {}).get(kernel, {}).items():
+        expected[case] = {**shared.get(case, {}), **digests}
+    return expected
+
+
+def expected(recorded: dict, case: str, kernel: str) -> dict:
+    digests = expected_digests(recorded, kernel).get(case)
+    if digests is None:
+        made_elsewhere(f"numpy_exp_kernel {', '.join(recorded['digests_by_exp_kernel'])} "
+                       f"in the file, {kernel} here")
+    return digests
+
+
+def split_by_kernel(runs) -> tuple[dict, dict]:
+    """The shared digests and each kernel's own, from the children's ``runs``. A
+    digest is shared when at least two kernels ran and all of them agree on it."""
+    by_kernel = {}
+    for run in runs:
+        kernel, digests = run["numpy_exp_kernel"], run["digests"]
+        if by_kernel.setdefault(kernel, digests) != digests:
+            sys.exit(f"two runs under numpy_exp_kernel {kernel} gave different digests")
+    shared, own = {}, {kernel: {} for kernel in by_kernel}
+    for case, digests in runs[0]["digests"].items():
+        for name, digest in digests.items():
+            if len(by_kernel) > 1 and all(d[case][name] == digest for d in by_kernel.values()):
+                shared.setdefault(case, {})[name] = digest
+            else:
+                for kernel, d in by_kernel.items():
+                    own[kernel].setdefault(case, {})[name] = d[case][name]
+    return shared, own
 
 
 @pytest.fixture(scope="module")
@@ -174,39 +246,71 @@ def directory(tmp_path_factory):
 
 
 def test_cases_are_all_recorded(golden):
-    assert sorted(golden) == sorted([*ENGINE_CASES, *DATA_FILES])
+    for kernel in golden["digests_by_exp_kernel"]:
+        assert sorted(expected_digests(golden, kernel)) == sorted([*ENGINE_CASES, *DATA_FILES])
 
 
-def test_another_exp_kernel_fails_naming_both(monkeypatch):
-    made_with = json.loads(GOLDEN.read_text())["versions"]["numpy_exp_kernel"]
-    monkeypatch.setitem(globals(), "exp_kernel", lambda: "another-kernel")
-    with pytest.raises(pytest.fail.Exception,
-                       match=f"numpy_exp_kernel {made_with} in the file, another-kernel here"):
-        recorded_digests()
+def test_another_exp_kernel_fails_naming_both(golden):
+    recorded = ", ".join(golden["digests_by_exp_kernel"])
+    dependent = kernel_dependent(golden)
+    assert dependent and {*ENGINE_CASES, *DATA_FILES} - dependent
+    for case in [*ENGINE_CASES, *DATA_FILES]:
+        if case in dependent:
+            with pytest.raises(pytest.fail.Exception,
+                               match=re.escape(f"numpy_exp_kernel {recorded} in the file, "
+                                               "another-kernel here")):
+                expected(golden, case, "another-kernel")
+        else:
+            assert expected(golden, case, "another-kernel") == golden["digests"][case]
 
 
 @pytest.mark.parametrize("case", ENGINE_CASES)
 def test_engine_outputs_match(case, golden, directory):
-    assert engine_digests(case, directory) == golden[case]
+    assert engine_digests(case, directory) == expected(golden, case, exp_kernel())
 
 
 @pytest.mark.parametrize("case", DATA_FILES)
 def test_data_arrays_match(case, golden, directory):
-    assert data_digests(case, directory) == golden[case]
+    assert data_digests(case, directory) == expected(golden, case, exp_kernel())
+
+
+def test_outputs_match_without_avx512(golden):
+    """The same comparison in a child whose numpy may not dispatch X86_V4 (it
+    dispatches X86_V3 on an AVX-512 CPU), so a second kernel family is checked."""
+    run = child_digests("X86_V4")
+    kernel = run["numpy_exp_kernel"]
+    assert run["digests"] == {case: expected(golden, case, kernel) for case in run["digests"]}
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--digests"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(json.dumps({"versions": versions(), "numpy_exp_kernel": exp_kernel(),
+                              "digests": all_digests(Path(tmp))}))
+        sys.exit()
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(f"usage: {REGENERATE}")
     replaced = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    with tempfile.TemporaryDirectory() as tmp:
-        payload = {"versions": versions(), "regenerate": REGENERATE,
-                   "digests": all_digests(Path(tmp))}
+    runs = [child_digests(disabled) for disabled in KERNEL_FAMILIES]
+    for disabled, run in zip(KERNEL_FAMILIES, runs):
+        print(f"NPY_DISABLE_CPU_FEATURES={disabled!r}: numpy_exp_kernel {run['numpy_exp_kernel']}")
+    shared, own = split_by_kernel(runs)
+    payload = {"versions": runs[0]["versions"], "regenerate": REGENERATE,
+               "digests": shared, "digests_by_exp_kernel": own}
     if replaced.get("versions") != payload["versions"]:
         print(f"versions: {replaced.get('versions')} -> {payload['versions']}")
-    for case, digests in payload["digests"].items():
-        old = replaced.get("digests", {}).get(case, {})
-        changed = [name for name, digest in digests.items() if old.get(name) != digest]
-        print(f"{case}: {'changed ' + ', '.join(changed) if changed else 'unchanged'}")
+    per_kernel = next(iter(own.values()))
+    print("recorded per kernel: " + ("; ".join(f"{case} ({', '.join(digests)})"
+                                              for case, digests in per_kernel.items()) or "none"))
+    for case in runs[0]["digests"]:
+        moved = {}
+        for kernel in own:
+            new = expected_digests(payload, kernel)[case]
+            old = expected_digests(replaced, kernel).get(case, {})
+            for name, digest in new.items():
+                if old.get(name) != digest:
+                    moved.setdefault(name, []).append(kernel)
+        print(f"{case}: " + ("; ".join(f"changed {name} under {', '.join(kernels)}"
+                                       for name, kernels in moved.items()) or "unchanged"))
     GOLDEN.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {GOLDEN}")

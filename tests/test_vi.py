@@ -38,6 +38,10 @@ def random_params(n, m, k, rng, mu_scale=0.5, log_s_scale=0.5):
     )
 
 
+# the larger case of the serial-reference tests
+LARGE = make_dataset(400, 600, 3000, seed=0)
+
+
 class TestKlClosedForm:
     def test_standard_normal_is_zero(self):
         assert kl_gaussian_vs_standard(0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
@@ -234,17 +238,21 @@ class TestViPredict:
                                  rng=np.random.default_rng(i * 3 + j))
                 assert 1.0 <= val <= 5.0
 
-    def test_batch_is_a_posterior_mean_over_whole_factor_draws(self):
-        params = random_params(4, 5, 3, np.random.default_rng(3))
-        ii, jj = np.array([0, 3, 3, 1, 0]), np.array([4, 0, 2, 2, 4])
+    @pytest.mark.parametrize("params, ii, jj, scale", [
+        (random_params(4, 5, 3, np.random.default_rng(3)),
+         np.array([0, 3, 3, 1, 0]), np.array([4, 0, 2, 2, 4]), RatingScale(5)),
+        (init_params(LARGE.n_users, LARGE.n_items, 20, ViConfig(seed=3)),
+         LARGE.user_idx, LARGE.item_idx, LARGE.scale),
+    ], ids=["small", "large"])
+    def test_batch_is_a_posterior_mean_over_whole_factor_draws(self, params, ii, jj, scale):
         rng = np.random.default_rng(0)
         mean = PosteriorMean(ii, jj)
         for _ in range(PREDICT_SAMPLES):
             [(eps_u, eps_v)] = draw_noise(params, 1, rng)
             mean.add(LatentState(params.mu_u + np.exp(params.log_s_u) * eps_u,
                                  params.mu_v + np.exp(params.log_s_v) * eps_v))
-        expected = mean.ratings(RatingScale(5))
-        got = vi_predict_batch(params, ii, jj, RatingScale(5))
+        expected = mean.ratings(scale)
+        got = vi_predict_batch(params, ii, jj, scale)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     def test_batch_agrees_with_single_pair_estimator(self):
@@ -299,10 +307,6 @@ def serial_vi_train(data, hp, cfg):
     return params, trace
 
 
-# 1,000 rows: an epoch at k=10 with 2 samples draws 20,000 numbers, as does a k=20 prediction draw
-LARGE = make_dataset(400, 600, 3000, seed=0)
-
-
 @pytest.mark.parametrize("data, k", [(make_dataset(12, 15, 60, seed=4), 3), (LARGE, 10)],
                          ids=["small", "large"])
 def test_vi_train_matches_serial_reference(data, k):
@@ -313,18 +317,6 @@ def test_vi_train_matches_serial_reference(data, k):
     assert np.array_equal(trace, expected_trace)
     for name in ("mu_u", "log_s_u", "mu_v", "log_s_v"):
         assert np.array_equal(getattr(params, name), getattr(expected, name))
-
-
-def test_vi_predict_batch_matches_serial_reference():
-    params = init_params(LARGE.n_users, LARGE.n_items, 20, ViConfig(seed=3))
-    ii, jj = LARGE.user_idx, LARGE.item_idx
-    rng = np.random.default_rng(0)
-    mean = PosteriorMean(ii, jj)
-    for _ in range(PREDICT_SAMPLES):
-        [(eps_u, eps_v)] = draw_noise(params, 1, rng)
-        mean.add(LatentState(params.mu_u + np.exp(params.log_s_u) * eps_u,
-                             params.mu_v + np.exp(params.log_s_v) * eps_v))
-    assert np.array_equal(vi_predict_batch(params, ii, jj, LARGE.scale), mean.ratings(LARGE.scale))
 
 
 class TestConfigValidation:
