@@ -35,7 +35,11 @@ class MfConfig:
 def mf_residual(state: LatentState, data: RatingDataset):
     """:func:`row_dots` buffers whose dots hold ``rating - U[user_idx] . V[item_idx]``
     of ``state``: the residual :func:`mf_epoch` keeps current and :func:`mf_loss` reads."""
-    _check_shapes(state, data)
+    if state.u.shape[0] != data.n_users or state.v.shape[0] != data.n_items:
+        raise ValueError(
+            f"state rows {state.u.shape[0]}/{state.v.shape[0]} do not match "
+            f"dataset ({data.n_users}, {data.n_items})"
+        )
     buffers = dot_buffers(data.n_ratings, state.k)
     _residual(state.u, state.v, data, buffers)
     return buffers
@@ -51,21 +55,12 @@ def mf_loss(buffers) -> float:
         return float(np.sum(buffers[2] ** 2))
 
 
-def _check_shapes(state: LatentState, data: RatingDataset):
-    if state.u.shape[0] != data.n_users or state.v.shape[0] != data.n_items:
-        raise ValueError(
-            f"state rows {state.u.shape[0]}/{state.v.shape[0]} do not match "
-            f"dataset ({data.n_users}, {data.n_items})"
-        )
-
-
 def mf_epoch(state: LatentState, data: RatingDataset, cfg: MfConfig, buffers,
              patterns) -> LatentState:
     """One full-batch update: the U block first, then V against the new U, scattered
     through ``patterns`` (:func:`rating_patterns` of ``data``). ``buffers`` must be
     :func:`mf_residual` of ``state``; each block recomputes the residual with one
     :func:`row_dots`, so it ends as that of the result."""
-    _check_shapes(state, data)
     by_user, by_item = patterns
     resid = buffers[2]
     # overflow fails LatentState's finite check, which mf_train reports as divergence

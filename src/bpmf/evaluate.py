@@ -23,7 +23,7 @@ from .errors import BpmfError, DataFormatError, UsageError
 from .mcmc import McmcConfig, run_chain
 from .model import (LatentState, ModelHyperparams, PosteriorMean, RatingDataset,
                     denormalize_rating, row_dots)
-from .vi import VariationalParams, ViConfig, vi_predict_batch, vi_train
+from .vi import ViConfig, vi_predict_batch, vi_train
 
 # the config each engine trains with when the experiment gives none
 DEFAULT_CONFIGS = {"mf": MfConfig, "mcmc": McmcConfig, "vi": ViConfig}
@@ -140,10 +140,8 @@ def predict_all(engine_result, eval_data: RatingDataset, train_data: RatingDatas
         preds = denormalize_rating(np.clip(dots, 0.0, 1.0), eval_data.scale)
     elif isinstance(engine_result, PosteriorMean):
         preds = engine_result.ratings(eval_data.scale)
-    elif isinstance(engine_result, VariationalParams):
-        preds = vi_predict_batch(engine_result, ii, jj, eval_data.scale)
     else:
-        raise BpmfError(f"unknown engine result type {type(engine_result).__name__}")
+        preds = vi_predict_batch(engine_result, ii, jj, eval_data.scale)
 
     cold = (
         (np.bincount(train_data.user_idx, minlength=train_data.n_users) == 0)[ii]

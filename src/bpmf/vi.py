@@ -183,15 +183,15 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             noise = draw_noise(params, cfg.mc_samples, rng)
-            value, grad = elbo_with_noise(params, data, hp, noise, buffers, patterns)
-            if not np.isfinite(value):
-                raise DivergenceError("ELBO became non-finite (reduce learning_rate)", epoch)
+            _, grad = elbo_with_noise(params, data, hp, noise, buffers, patterns)
             params.mu_u += cfg.learning_rate * grad.mu_u
             params.log_s_u += cfg.learning_rate * grad.log_s_u
             params.mu_v += cfg.learning_rate * grad.mu_v
             params.log_s_v += cfg.learning_rate * grad.log_s_v
             del grad  # freed before the next epoch allocates, so glibc keeps the heap top
             trace.append(elbo_value_with_noise(params, data, hp, monitor, buffers))
+            if not np.isfinite(trace[-1]):
+                raise DivergenceError("ELBO became non-finite (reduce learning_rate)", epoch)
     return params, trace
 
 

@@ -211,6 +211,16 @@ class TestRun:
         )
         assert code == 2
 
+    def test_vi_divergence_in_the_last_epoch_is_runtime_error(self, small_csv, tmp_path,
+                                                               capsys):
+        code = run_cli(
+            "run", "--engine", "vi", "--data", str(small_csv),
+            "--out", str(tmp_path / "div"), "--lr", "1e10", "--epochs", "1",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bpmf: epoch 0: ") and err.count("\n") == 1
+
     # 10**17 puts the (ratings, k) arrays past the address space, which numpy
     # refuses with a ValueError; 10**16 is addressable, but a (users, k) init
     # of 1.2e18 bytes fails at request time; neither touches any memory

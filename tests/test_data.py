@@ -427,8 +427,8 @@ class TestBuildDataset:
 
     @pytest.mark.parametrize("ids", [
         [3, 1, 3, 2, 1],  # dense: the lookup table
-        [10**12, 5, 10**12, -7, 5],  # sparse: packed keys
-        [2**63 - 1, -(2**63), 2**63 - 1, 0, -(2**63)],  # too wide to pack: stable argsort
+        [10**12, 5, 10**12, -7, 5],  # sparse: the stable sort
+        [2**63 - 1, -(2**63), 2**63 - 1, 0, -(2**63)],  # int64 ends: the stable sort
     ], ids=["dense", "sparse", "int64-edge"])
     def test_id_arrays_recover_the_columns(self, tmp_path, ids):
         path = tmp_path / "ratings.csv"
@@ -457,20 +457,17 @@ _INT64 = np.iinfo(np.int64)
 class TestFirstAppearance:
     # many repeats in each case, so a remap that lost the first appearance
     # of an ID within its group would misorder the distinct IDs
-    @pytest.mark.parametrize("ids,fallback", [
-        (_RNG.integers(0, 50, 5_000), False),
-        (_RNG.integers(-10**12, 10**12, 40)[_RNG.integers(0, 40, 3_000)], False),
-        (np.array([5]), False),
-        (np.full(100, -3), False),
-        # the packed keys would overflow: the stable argsort path
-        (np.r_[_INT64.min, _RNG.integers(-3, 3, 2_000), _INT64.max], True),
-        (_RNG.integers(_INT64.min, _INT64.max, 60, dtype=np.int64)[_RNG.integers(0, 60, 3_000)],
-         True),
+    @pytest.mark.parametrize("ids", [
+        _RNG.integers(0, 50, 5_000),
+        _RNG.integers(-10**12, 10**12, 40)[_RNG.integers(0, 40, 3_000)],
+        np.array([5]),
+        np.full(100, -3),
+        # IDs at or near both ends of int64: spans past int64.max
+        np.r_[_INT64.min, _RNG.integers(-3, 3, 2_000), _INT64.max],
+        _RNG.integers(_INT64.min, _INT64.max, 60, dtype=np.int64)[_RNG.integers(0, 60, 3_000)],
     ], ids=["repeats", "wide-ids", "single", "constant", "int64-edges", "int64-spread"])
-    def test_matches_unique_reference(self, ids, fallback):
+    def test_matches_unique_reference(self, ids):
         ids = ids.astype(np.int64)
-        span = int(ids.max()) - int(ids.min()) + 1
-        assert (span * ids.size > _INT64.max) == fallback
         got, expected = data_module._first_appearance(ids), unique_first_appearance(ids)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype
@@ -486,7 +483,8 @@ def dict_first_appearance(ids):
 
 @st.composite
 def id_columns(draw):
-    """(kind, IDs): dense spans either side of the table bound, sparse, int64 edges."""
+    """(kind, IDs): dense spans either side of the lookup-table bound, and sparse IDs
+    and int64 edges, which take the stable sort."""
     kind = draw(st.sampled_from(["span n", "span n+1", "sparse", "int64 edges", "single"]))
     if kind == "single":
         return kind, [draw(st.integers(_INT64.min, _INT64.max))]

@@ -74,12 +74,12 @@ DATA_FILES = {
     # a quoted field sends the file to the csv row loop
     "quoted-row-loop": "\n".join(
         [HEADER, '"5",2,4,0', "9,2,1,0", "5,4,3,0", "7,4,2,0", "9,6,5,0", ""]).encode(),
-    # IDs spread far wider than their count: the packed-key remap
+    # IDs spread far wider than their count: the stable-sort remap
     "sparse-ids": "\n".join(
         [HEADER, *(f"{u},{m},{r},0" for u, m, r in [
             (900_000_000_000, 17, 3), (5, 4_000_000_000, 4), (70_000_000, 17, 1),
             (5, 17, 5), (900_000_000_000, 250_000, 2), (70_000_000, 4_000_000_000, 4)]), ""]).encode(),
-    # IDs at both ends of int64: too wide to pack, the stable argsort remap
+    # IDs at both ends of int64: the stable-sort remap with a span past int64
     "int64-edge-ids": "\n".join(
         [HEADER, *(f"{u},{m},{r},0" for u, m, r in [
             (2**63 - 1, -(2**63), 3), (-(2**63), 0, 2), (0, 2**63 - 1, 5),

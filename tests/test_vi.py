@@ -216,6 +216,13 @@ class TestViTrain:
                 vi_train(data, ModelHyperparams(10, 0.25), ViConfig(learning_rate=1e4, epochs=50))
         assert err.value.epoch is not None
 
+    def test_last_epoch_divergence_names_that_epoch(self):
+        # the only update diverges; the error names it, not a later predictor
+        data = make_dataset(20, 30, 200, seed=0)
+        with pytest.raises(DivergenceError) as err:
+            vi_train(data, ModelHyperparams(10, 0.25), ViConfig(learning_rate=1e10, epochs=1))
+        assert err.value.epoch == 0
+
 
 class TestViPredict:
     def test_small_sigma_mc_approaches_plug_in(self):
