@@ -212,13 +212,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     n_val = split.validation.n_ratings
     rmse_val = rmse(preds[:n_val], truths[:n_val])
     rmse_test = rmse(preds[n_val:], truths[n_val:])
-    loss_trace = [float(x) for x in trace]
     lap("predict")
     timings["predict"] += streamed
 
     with open(out / "trace.csv", "w", newline="") as fh:
         fh.write("epoch,value\n")
-        for epoch, value in enumerate(loss_trace):
+        for epoch, value in enumerate(trace):
             fh.write(f"{epoch},{value!r}\n")
     # report.json is written last, so its own write is not in "write"
     lap("write")
@@ -235,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         },
         rmse_validation=rmse_val,
         rmse_test=rmse_test,
-        loss_trace=loss_trace,
+        loss_trace=trace,
         wall_clock_seconds=timings["train"],
         n_train=split.train.n_ratings,
         n_val=n_val,

@@ -194,18 +194,13 @@ def scatter_rows(side, weights, x):
     return side @ x
 
 
-def residual_log_likelihood(resid, sigma2: float) -> float:
-    """Gaussian log density of a vector of rating residuals, constants included."""
+def log_likelihood_sum(u, v, data: RatingDataset, sigma2: float, buffers=None) -> float:
+    """Sum of per-entry Gaussian log likelihoods over the observed ratings."""
+    resid = rating_residuals(u, v, data.user_idx, data.item_idx, data.rating, buffers)
     return float(
         -0.5 * resid.size * np.log(2.0 * np.pi * sigma2)
         - np.sum(resid**2) / (2.0 * sigma2)
     )
-
-
-def log_likelihood_sum(u, v, data: RatingDataset, sigma2: float, buffers=None) -> float:
-    """Sum of per-entry log likelihoods over the observed ratings."""
-    resid = rating_residuals(u, v, data.user_idx, data.item_idx, data.rating, buffers)
-    return residual_log_likelihood(resid, sigma2)
 
 
 def log_joint(state: LatentState, data: RatingDataset, hp: ModelHyperparams) -> float:

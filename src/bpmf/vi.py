@@ -3,8 +3,8 @@
 Each latent row gets an independent diagonal-Gaussian factor with free
 means and log-standard-deviations. The objective is the evidence lower
 bound with the KL-to-prior part computed in closed form and the
-likelihood expectation estimated by reparameterized Monte Carlo; both
-the estimate and its pathwise gradient share the same base noise.
+likelihood expectation estimated by reparameterized Monte Carlo; the
+estimate and its pathwise gradient are two functions of the same base noise.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .model import (
     dot_buffers,
     log_likelihood_sum,
     rating_patterns,
-    residual_log_likelihood,
     row_dots,
     scatter_rows,
     sigmoid,
@@ -95,13 +94,13 @@ def draw_noise(params: VariationalParams, mc_samples: int, rng):
 
 
 def elbo_with_noise(params: VariationalParams, data: RatingDataset,
-                    hp: ModelHyperparams, noise, buffers, patterns):
-    """ELBO estimate and its pathwise gradient for explicit base noise.
+                    hp: ModelHyperparams, noise, buffers, patterns) -> VariationalParams:
+    """Pathwise gradient of :func:`elbo_value_with_noise` for the same base noise.
 
     The KL-to-prior part is analytic; only the likelihood expectation is
     averaged over the supplied noise draws. The gradient scatters through
     ``patterns``, the caller's :func:`bpmf.model.rating_patterns` of ``data``.
-    Returns (value, gradient) with the gradient shaped like ``params``.
+    Returns the gradient only, as a :class:`VariationalParams` shaped like ``params``.
     """
     s_u = np.exp(params.log_s_u)
     s_v = np.exp(params.log_s_v)
@@ -109,7 +108,6 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
         np.zeros_like(params.mu_u), np.zeros_like(params.log_s_u),
         np.zeros_like(params.mu_v), np.zeros_like(params.log_s_v),
     )
-    loglik = 0.0
     by_user, by_item = patterns
     ii, jj, rr = data.user_idx, data.item_idx, data.rating
     for eps_u, eps_v in noise:
@@ -117,7 +115,6 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
         v = params.mu_v + s_v * eps_v
         mean = sigmoid(row_dots(u, v, ii, jj, buffers))
         resid = rr - mean
-        loglik += residual_log_likelihood(resid, hp.sigma2)
         # d(log lik)/d(dot) for each observation
         coef = resid * mean * (1.0 - mean) / hp.sigma2
         g_u = scatter_rows(by_user, coef, v)
@@ -127,7 +124,6 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
         grad.log_s_u += g_u * (u - params.mu_u)
         grad.log_s_v += g_v * (v - params.mu_v)
     n = len(noise)
-    loglik /= n
     grad.mu_u /= n
     grad.mu_v /= n
     grad.log_s_u /= n
@@ -137,7 +133,7 @@ def elbo_with_noise(params: VariationalParams, data: RatingDataset,
     grad.mu_v -= params.mu_v
     grad.log_s_u -= s_u**2 - 1.0
     grad.log_s_v -= s_v**2 - 1.0
-    return float(loglik - _total_kl(params)), grad
+    return grad
 
 
 def elbo_value_with_noise(params: VariationalParams, data: RatingDataset,
@@ -183,12 +179,12 @@ def vi_train(data: RatingDataset, hp: ModelHyperparams, cfg: ViConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             noise = draw_noise(params, cfg.mc_samples, rng)
-            _, grad = elbo_with_noise(params, data, hp, noise, buffers, patterns)
+            grad = elbo_with_noise(params, data, hp, noise, buffers, patterns)
             params.mu_u += cfg.learning_rate * grad.mu_u
             params.log_s_u += cfg.learning_rate * grad.log_s_u
             params.mu_v += cfg.learning_rate * grad.mu_v
             params.log_s_v += cfg.learning_rate * grad.log_s_v
-            del grad  # freed before the next epoch allocates, so glibc keeps the heap top
+            del grad  # freed before the monitor and the next epoch allocate: lower peak memory
             trace.append(elbo_value_with_noise(params, data, hp, monitor, buffers))
             if not np.isfinite(trace[-1]):
                 raise DivergenceError("ELBO became non-finite (reduce learning_rate)", epoch)
@@ -201,7 +197,7 @@ def vi_predict(params: VariationalParams, i: int, j: int, scale: RatingScale,
     ``mc_samples`` posterior draws from ``rng``."""
     u = params.mu_u[i] + np.exp(params.log_s_u[i]) * rng.standard_normal((mc_samples, params.k))
     v = params.mu_v[j] + np.exp(params.log_s_v[j]) * rng.standard_normal((mc_samples, params.k))
-    return float(denormalize_rating(float(np.mean(sigmoid(np.einsum("sk,sk->s", u, v)))), scale))
+    return denormalize_rating(float(np.mean(sigmoid(np.einsum("sk,sk->s", u, v)))), scale)
 
 
 def vi_predict_batch(params: VariationalParams, user_idx, item_idx, scale: RatingScale):
